@@ -88,7 +88,7 @@ def tree_to_perm(t: BinaryTree) -> tuple:
         out[slot - 1] = w
     perm = tuple(out)
     if not is_213_avoiding(perm):
-        raise AssertionError(f"wire tracing produced a 213 pattern: {perm}")
+        raise InvariantError(f"wire tracing produced a 213 pattern: {perm}")
     return perm
 
 

@@ -10,9 +10,13 @@ with every edge stretched so that all leaves sit on the bottom level.  In that
 drawing an internal node whose subtree spans leaves i..j (0-indexed, left to
 right) of a size-n tree sits at coordinate (n - j, i), where the first entry
 counts steps along the left root axis and the second along the right.
+
+Trees are immutable and share subtrees freely.  A Node stores its size when
+it is built, so size() is O(1), and caches its hash the first time it is
+hashed; an Interval caches its hash when it is built.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import comb
 from typing import Sequence, Union
@@ -26,18 +30,61 @@ from .errors import AmbientMismatchError, InvariantError, NotAPermutationError
 
 @dataclass(frozen=True)
 class Leaf:
+    size = 0  # a class attribute, not a field
+
     def __repr__(self):
         return "Leaf"
 
 
-@dataclass(frozen=True)
 class Node:
-    left: "BinaryTree"
-    right: "BinaryTree"
+    """An internal node.  Immutable; its size is stored at construction and
+    its hash is computed on first use and then kept.
+
+    Hashing is lazy because most trees are never hashed (enumeration, the
+    bijections), while the Tamari layer hashes the same shared subtrees over
+    and over.  Equality is structural.
+    """
+
+    __slots__ = ("left", "right", "size", "_hash")
+
+    def __init__(self, left: "BinaryTree", right: "BinaryTree"):
+        # the slot setters bypass __setattr__, which refuses every assignment
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_size(self, left.size + right.size + 1)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"Node({self.left!r}, {self.right!r})"
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Node:
+            return NotImplemented
+        return self.size == other.size and (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.left, self.right))
+            _set_hash(self, h)
+            return h
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return Node, (self.left, self.right)
+
+
+_set_left = Node.left.__set__
+_set_right = Node.right.__set__
+_set_size = Node.size.__set__
+_set_hash = Node._hash.__set__
 
 BinaryTree = Union[Leaf, Node]
 
@@ -50,15 +97,7 @@ def is_leaf(t: BinaryTree) -> bool:
 
 def size(t: BinaryTree) -> int:
     """Number of internal nodes; a tree of size n has n + 1 leaves."""
-    total = 0
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Node):
-            total += 1
-            stack.append(u.left)
-            stack.append(u.right)
-    return total
+    return t.size
 
 
 def leaf_count(t: BinaryTree) -> int:
@@ -125,14 +164,15 @@ def leaf_spans(t: BinaryTree):
     out = []
 
     def go(node, i, kind):
-        if is_leaf(node):
-            return i
-        m = go(node.left, i, "left")
-        j = go(node.right, m + 1, "right")
-        out.append((i, j, kind))
-        return j
+        left, right = node.left, node.right
+        if left.size:
+            go(left, i, "left")
+        if right.size:
+            go(right, i + left.size + 1, "right")
+        out.append((i, i + node.size, kind))
 
-    go(t, 0, "root")
+    if t.size:
+        go(t, 0, "root")
     return out
 
 
@@ -276,6 +316,11 @@ def enumerate_perms213(n: int) -> list:
     return sorted(gen(n))
 
 
+def _is_int(v) -> bool:
+    # bool is a subclass of int, and JSON true and false load as bool
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_permutation(p: Sequence[int]) -> bool:
     return sorted(p) == list(range(1, len(p) + 1))
 
@@ -353,7 +398,7 @@ class YoungDiagram:
             raise InvariantError("ambient must be >= 0")
         prev = None
         for i, r in enumerate(self.rows):
-            if not isinstance(r, int) or r <= 0:
+            if not _is_int(r) or r <= 0:
                 raise InvariantError(f"row lengths must be positive integers, got {r!r}")
             if prev is not None and r > prev:
                 raise InvariantError(f"rows {self.rows} are not weakly decreasing")
@@ -400,7 +445,7 @@ class GappedYoungDiagram:
     def __post_init__(self):
         cells = set()
         for r, c in self.boxes:
-            if not (isinstance(r, int) and isinstance(c, int)):
+            if not (_is_int(r) and _is_int(c)):
                 raise InvariantError(f"cell ({r!r}, {c!r}) is not an integer pair")
             if r < 1 or c < 0 or r + c > self.n - 1:
                 raise InvariantError(
@@ -408,13 +453,6 @@ class GappedYoungDiagram:
                 )
             cells.add((r, c))
         object.__setattr__(self, "boxes", frozenset(cells))
-
-    def column_heights(self) -> list:
-        """Cells per column, index 0..n-1."""
-        h = [0] * max(self.n, 0)
-        for (r, c) in self.boxes:
-            h[c] = max(h[c], r)
-        return h
 
     def columns_anchored(self) -> bool:
         """True iff every occupied column is one run starting at row 1."""
@@ -433,14 +471,26 @@ class GappedYoungDiagram:
 
 @dataclass(frozen=True, order=True)
 class Interval:
-    """A ball of the triangular structure: the interval [a, b], 1 <= a <= b."""
+    """A ball of the triangular structure: the interval [a, b], 1 <= a <= b.
 
+    The hash is computed once, at construction; balls are hashed far more
+    often than they are made.
+    """
+
+    __slots__ = ("a", "b", "_hash")
     a: int
     b: int
 
     def __post_init__(self):
         if not (1 <= self.a <= self.b):
             raise InvariantError(f"bad interval [{self.a}, {self.b}]")
+        object.__setattr__(self, "_hash", hash((self.a, self.b)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return Interval, (self.a, self.b)
 
     def check_ambient(self, n: int):
         if self.b > n - 1:

@@ -27,6 +27,7 @@ from .core import (
     NotAPermutationError,
     TorsionPair,
     YoungDiagram,
+    _is_int,
     from_paren,
     is_213_avoiding,
     is_permutation,
@@ -89,8 +90,9 @@ def deserialize_young(text: str) -> YoungDiagram:
     doc = _load(text)
     if (
         not isinstance(doc, dict)
-        or not isinstance(doc.get("n"), int)
+        or not _is_int(doc.get("n"))
         or not isinstance(doc.get("rows"), list)
+        or not all(map(_is_int, doc["rows"]))
     ):
         raise MalformedDocumentError(f'young document must be {{"n", "rows"}}, got {doc!r}')
     return YoungDiagram(tuple(doc["rows"]), doc["n"])
@@ -106,13 +108,13 @@ def deserialize_gapped(text: str) -> GappedYoungDiagram:
     doc = _load(text)
     if (
         not isinstance(doc, dict)
-        or not isinstance(doc.get("n"), int)
+        or not _is_int(doc.get("n"))
         or not isinstance(doc.get("boxes"), list)
     ):
         raise MalformedDocumentError(f'gapped document must be {{"n", "boxes"}}, got {doc!r}')
     boxes = set()
     for cell in doc["boxes"]:
-        if not (isinstance(cell, list) and len(cell) == 2):
+        if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))):
             raise MalformedDocumentError(f"bad cell {cell!r}; expected [row, col]")
         boxes.add((cell[0], cell[1]))
     return GappedYoungDiagram(frozenset(boxes), doc["n"])
@@ -125,7 +127,7 @@ def serialize_interval(x: Interval) -> str:
 
 
 def _interval_from(doc):
-    if not (isinstance(doc, list) and len(doc) == 2 and all(isinstance(v, int) for v in doc)):
+    if not (isinstance(doc, list) and len(doc) == 2 and all(map(_is_int, doc))):
         raise MalformedDocumentError(f"bad interval {doc!r}; expected [a, b]")
     return Interval(doc[0], doc[1])
 
@@ -148,7 +150,7 @@ def deserialize_torsion(text: str) -> TorsionPair:
     doc = _load(text)
     if (
         not isinstance(doc, dict)
-        or not isinstance(doc.get("n"), int)
+        or not _is_int(doc.get("n"))
         or not isinstance(doc.get("torsion"), list)
         or not isinstance(doc.get("free"), list)
     ):
@@ -159,6 +161,11 @@ def deserialize_torsion(text: str) -> TorsionPair:
     tors = frozenset(_interval_from(v) for v in doc["torsion"])
     free = frozenset(_interval_from(v) for v in doc["free"])
     pair = TorsionPair(tors, free, n)
+    # Each non-root node of a pair's tree puts at least one ball in a class,
+    # so fewer than n - 1 balls are no pair; checked first, this also keeps a
+    # short document from building the engine tables of a huge ambient.
+    if len(tors) + len(free) < n - 1:
+        raise InvariantError(f"document is not a torsion pair (too few balls for ambient {n})")
     # both perpendicularity clauses must hold, not just disjointness
     if perp_right(tors, n) != free or perp_left(free, n) != tors:
         raise InvariantError("document is not a torsion pair (perpendicularity fails)")
@@ -173,7 +180,7 @@ def serialize_perm(p) -> str:
 
 def deserialize_perm(text: str) -> tuple:
     doc = _load(text)
-    if not (isinstance(doc, list) and all(isinstance(v, int) for v in doc)):
+    if not (isinstance(doc, list) and all(map(_is_int, doc))):
         raise MalformedDocumentError(f"permutation document must be [int, ...], got {doc!r}")
     p = tuple(doc)
     if not is_permutation(p):

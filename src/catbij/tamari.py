@@ -17,10 +17,11 @@ def covers_of(t: BinaryTree) -> list:
     if is_leaf(t):
         return out
     x, y = t.left, t.right
-    if not is_leaf(x):
+    if x.size:
         out.append(Node(x.left, Node(x.right, y)))
-    out.extend(Node(c, y) for c in covers_of(x))
-    out.extend(Node(x, c) for c in covers_of(y))
+        out.extend(Node(c, y) for c in covers_of(x))
+    if y.size:
+        out.extend(Node(x, c) for c in covers_of(y))
     return out
 
 
@@ -32,9 +33,6 @@ class TamariPoset:
     @property
     def n(self) -> int:
         return size(self.nodes[0])
-
-    def upper_covers(self, t):
-        return [u for (l, u) in self.covers if l == t]
 
     def bottom(self):
         uppers = {u for (_, u) in self.covers}
@@ -51,11 +49,28 @@ class TamariPoset:
         return tops[0]
 
 
-def build_lattice(n: int) -> TamariPoset:
+def _trees(n: int) -> tuple:
     if n < 1:
         raise InvariantError("the Tamari lattice needs n >= 1")
-    nodes = enumerate_trees(n)
-    covers = frozenset((t, u) for t in nodes for u in covers_of(t))
+    return enumerate_trees(n)
+
+
+def _cover_indices(nodes):
+    """Per tree of nodes, in order, the indices in nodes of its covers.
+
+    nodes holds every tree of one size, so each cover tree is equal to one of
+    them; it is replaced by that index and dropped.
+    """
+    idx = {t: i for i, t in enumerate(nodes)}
+    for t in nodes:
+        yield [idx[u] for u in covers_of(t)]
+
+
+def build_lattice(n: int) -> TamariPoset:
+    nodes = _trees(n)
+    covers = frozenset(
+        (t, nodes[j]) for t, up in zip(nodes, _cover_indices(nodes)) for j in up
+    )
     return TamariPoset(nodes, covers)
 
 
@@ -83,68 +98,66 @@ def _leq_matrix(p: TamariPoset):
     return idx, leq
 
 
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def is_lattice(p: TamariPoset) -> bool:
-    """Every pair of nodes has a unique join and a unique meet."""
-    idx, leq = _leq_matrix(p)
-    m = len(p.nodes)
-    geq = [0] * m
-    for i in range(m):
-        mask = leq[i]
-        j = 0
-        while mask:
-            if mask & 1:
-                geq[j] |= 1 << i
-            mask >>= 1
-            j += 1
+    """Every pair of nodes has a unique join and a unique meet.
+
+    The nodes are renumbered along a linear extension read off the order
+    itself: an element strictly below another has strictly more elements above
+    it.  In that numbering the least of a set of common upper bounds, if it has
+    one, is its lowest-numbered member, and the greatest of a set of common
+    lower bounds its highest-numbered one, so each bound needs one check.
+    """
+    _, leq = _leq_matrix(p)
+    m = len(leq)
+    order = sorted(range(m), key=lambda i: -leq[i].bit_count())
+    pos = [0] * m
+    for k, i in enumerate(order):
+        pos[i] = k
+    up = [sum(1 << pos[j] for j in _bits(leq[i])) for i in order]
+    down = [0] * m
+    for k, mask in enumerate(up):
+        for j in _bits(mask):
+            down[j] |= 1 << k
     for i in range(m):
         for j in range(i + 1, m):
-            if not _unique_bound(leq[i] & leq[j], leq) or not _unique_bound(
-                geq[i] & geq[j], geq
-            ):
+            above = up[i] & up[j]
+            below = down[i] & down[j]
+            if not (above and below):
+                return False
+            if up[(above & -above).bit_length() - 1] & above != above:
+                return False
+            if down[below.bit_length() - 1] & below != below:
                 return False
     return True
 
 
-def _unique_bound(candidates, order_masks):
-    # the set of common bounds must contain one element below/above the rest
-    rest = candidates
-    while rest:
-        low = rest & -rest
-        k = low.bit_length() - 1
-        if order_masks[k] & candidates == candidates:
-            return True
-        rest ^= low
-    return False
-
-
 def count_maximal_chains(n: int) -> int:
-    """Bottom-to-top paths in the Hasse diagram, memoized exact count."""
-    p = build_lattice(n)
-    top = p.top()
-    up = {}
-    for (l, u) in p.covers:
-        up.setdefault(l, []).append(u)
+    """Bottom-to-top paths in the Hasse diagram, exact.
 
-    memo = {}
-
-    def paths(t):
-        if t == top:
-            return 1
-        if t not in memo:
-            memo[t] = sum(paths(u) for u in up.get(t, ()))
-        return memo[t]
-
-    return paths(p.bottom())
+    In canonical order every cover of a tree comes before the tree itself (a
+    right rotation moves a node from the left subtree at its site to the
+    right), so one pass from the top, the right comb at index 0, counts the
+    paths up from each tree.  The bottom, the left comb, comes last.
+    """
+    paths = []
+    for up in _cover_indices(_trees(n)):
+        paths.append(sum(paths[j] for j in up) if up else 1)
+    return paths[-1]
 
 
 def verify_order_reversing(n: int) -> bool:
     """Each cover strictly shrinks the torsion class."""
     from .torsion import tree_to_torsion
 
-    for t in enumerate_trees(n):
-        low = tree_to_torsion(t).torsion
-        for u in covers_of(t):
-            high = tree_to_torsion(u).torsion
-            if not high < low:
-                return False
-    return True
+    nodes = enumerate_trees(n)
+    tors = [tree_to_torsion(t).torsion for t in nodes]
+    return all(
+        tors[j] < low for low, up in zip(tors, _cover_indices(nodes)) for j in up
+    )

@@ -19,6 +19,7 @@ tables; the public functions convert at the boundary.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .bookshelf import tree_from_profile
 from .core import (
@@ -34,6 +35,7 @@ from .core import (
 )
 
 
+@lru_cache(maxsize=None)
 def all_balls(n: int) -> frozenset:
     """Every ball of the ambient-n triangle; (n-1)n/2 of them."""
     if n < 0:
@@ -49,18 +51,14 @@ def hom_nonzero(x: Interval, y: Interval, n: int) -> bool:
 
 def perp_right(objs, n: int) -> frozenset:
     """Balls receiving no nonzero Hom from any member of objs."""
-    objs = list(objs)
-    return frozenset(
-        y for y in all_balls(n) if not any(hom_nonzero(x, y, n) for x in objs)
-    )
+    balls, row, full, hom_from, *_ = _engine(n)
+    return _to_set(full & ~_union(_to_mask(objs, n, row), hom_from), balls)
 
 
 def perp_left(objs, n: int) -> frozenset:
     """Balls sending no nonzero Hom to any member of objs."""
-    objs = list(objs)
-    return frozenset(
-        x for x in all_balls(n) if not any(hom_nonzero(x, y, n) for y in objs)
-    )
+    balls, row, full, _, hom_to, *_ = _engine(n)
+    return _to_set(full & ~_union(_to_mask(objs, n, row), hom_to), balls)
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +67,14 @@ def perp_left(objs, n: int) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _engine(n: int):
+    """Per-ambient tables.  Bit i of a mask stands for balls[i], the balls in
+    sorted order, so ball [a, b] is bit row[a] + b."""
     balls = tuple(sorted(all_balls(n)))
-    index = {x: i for i, x in enumerate(balls)}
     m = len(balls)
     full = (1 << m) - 1
+    row = [-1] * max(n, 1)  # [1, 1] is bit 0
+    for a in range(2, n):
+        row[a] = row[a - 1] + n - a  # row a - 1 holds n - a + 1 balls
     hom_from = [0] * m
     hom_to = [0] * m
     for i, x in enumerate(balls):
@@ -84,59 +86,59 @@ def _engine(n: int):
     quot = [0] * m
     for i, x in enumerate(balls):
         for a in range(x.a, x.b + 1):
-            quot[i] |= 1 << index[Interval(a, x.b)]
+            quot[i] |= 1 << (row[a] + x.b)
     # extension table: (i, j, top, bottom) with bottom == -1 for the virtual
     # ball one line below the bottom row
     ext = []
     for i, x in enumerate(balls):
         for j, y in enumerate(balls):
             if x.a < y.a and x.b < y.b and y.a <= x.b + 1:
-                top = index[Interval(x.a, y.b)]
-                bottom = index[Interval(y.a, x.b)] if y.a <= x.b else -1
+                top = row[x.a] + y.b
+                bottom = row[y.a] + x.b if y.a <= x.b else -1
                 ext.append((1 << i | 1 << j, 1 << top, bottom))
-    return balls, index, full, hom_from, hom_to, quot, tuple(ext)
+    return balls, row, full, hom_from, hom_to, quot, tuple(ext)
 
 
-def _to_mask(objs, n, index):
+def _to_mask(objs, n, row):
     mask = 0
     for x in objs:
         x.check_ambient(n)
-        mask |= 1 << index[x]
+        mask |= 1 << (row[x.a] + x.b)
     return mask
 
 
 def _to_set(mask, balls):
-    return frozenset(x for i, x in enumerate(balls) if mask >> i & 1)
+    """The engine's own Interval objects for the set bits of mask."""
+    # the binary digits, least significant first, select from balls
+    return frozenset(compress(balls, map("1".__eq__, bin(mask)[:1:-1])))
+
+
+def _union(mask, table):
+    """OR of table[i] over the set bits i of mask."""
+    hit = 0
+    while mask:
+        low = mask & -mask
+        hit |= table[low.bit_length() - 1]
+        mask ^= low
+    return hit
 
 
 def _generate_mask(seed_mask, n):
     _, _, full, hom_from, hom_to, _, _ = _engine(n)
-    hit = 0
-    rest = seed_mask
-    while rest:
-        low = rest & -rest
-        hit |= hom_from[low.bit_length() - 1]
-        rest ^= low
-    free = full & ~hit
-    hit = 0
-    rest = free
-    while rest:
-        low = rest & -rest
-        hit |= hom_to[low.bit_length() - 1]
-        rest ^= low
-    return full & ~hit, free
+    free = full & ~_union(seed_mask, hom_from)
+    return full & ~_union(free, hom_to), free
 
 
 def torsion_generate(seed, n: int) -> TorsionPair:
     """Smallest torsion pair whose torsion class contains the seed."""
-    balls, index, *_ = _engine(n)
-    tors, free = _generate_mask(_to_mask(seed, n, index), n)
+    balls, row, *_ = _engine(n)
+    tors, free = _generate_mask(_to_mask(seed, n, row), n)
     return TorsionPair(_to_set(tors, balls), _to_set(free, balls), n)
 
 
 def is_torsion_class(objs, n: int) -> bool:
-    balls, index, *_ = _engine(n)
-    mask = _to_mask(objs, n, index)
+    _, row, *_ = _engine(n)
+    mask = _to_mask(objs, n, row)
     return _generate_mask(mask, n)[0] == mask
 
 
@@ -168,8 +170,8 @@ def complete_torsion_hu(seed, n: int) -> frozenset:
     (c == b + 1); rectangles dipping two or more lines below are rejected.
     A valid rectangle contributes its top corner [a, d].
     """
-    balls, index, *_ = _engine(n)
-    return _to_set(_complete_mask(_to_mask(seed, n, index), n), balls)
+    balls, row, *_ = _engine(n)
+    return _to_set(_complete_mask(_to_mask(seed, n, row), n), balls)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +182,15 @@ def tree_to_torsion(t: BinaryTree) -> TorsionPair:
     n = size(t)
     if n < 1:
         raise InvariantError("torsion pairs need a tree of size >= 1")
-    tors, free = set(), set()
+    balls, row, *_ = _engine(n)
+    tors = free = 0
     for (i, j, kind) in leaf_spans(t):
         if kind == "left":
-            tors.update(Interval(a, j) for a in range(i + 1, j + 1))
-        elif kind == "right":
-            free.update(Interval(i, b) for b in range(i, j))
-    return TorsionPair(frozenset(tors), frozenset(free), n)
+            for a in range(i + 1, j + 1):
+                tors |= 1 << (row[a] + j)
+        elif kind == "right":  # [i, i] .. [i, j-1] are consecutive bits
+            free |= ((1 << (j - i)) - 1) << (row[i] + i)
+    return TorsionPair(_to_set(tors, balls), _to_set(free, balls), n)
 
 
 def _bmin_profile(objs):

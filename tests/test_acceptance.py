@@ -7,7 +7,13 @@ checks are exact; the only tolerances are the stated runtime budgets.
 
 import itertools
 import json
+import pathlib
+import sys
 import time
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
 
 from catbij import (
     DyckPath,
@@ -222,10 +228,10 @@ def main():
         start = time.monotonic()
         try:
             fn()
-        except AssertionError as exc:
+        except Exception as exc:  # noqa: BLE001 - report any failure as a line, not a crash
             failed += 1
             status = "FAIL"
-            detail = f" ({exc})"
+            detail = f" ({type(exc).__name__}: {exc})"
         else:
             status = "PASS"
             detail = ""

@@ -126,6 +126,14 @@ def test_perm_to_tree_errors():
         perm_to_tree((2, 3, 1, 4, 5))  # contains 213
 
 
+def test_tree_to_perm_self_check_raises_a_catbij_error(monkeypatch):
+    from catbij import CatbijError, baseball
+
+    monkeypatch.setattr(baseball, "is_213_avoiding", lambda p: False)
+    with pytest.raises(CatbijError):
+        tree_to_perm(from_paren("((..).)"))
+
+
 def test_torsion_permutation_bridge():
     from catbij import all_balls, left_comb, right_comb
 

@@ -24,6 +24,7 @@ from catbij import (
     enumerate_young,
     from_paren,
     is_213_avoiding,
+    is_leaf,
     leaf_count,
     left_comb,
     node_coordinates,
@@ -94,6 +95,28 @@ def test_paren_round_trip():
     for n in range(0, 9):
         for t in enumerate_trees(n):
             assert from_paren(to_paren(t)) == t
+
+
+def test_hub_objects_store_size_and_hash():
+    def count(t):  # independent of the stored size
+        return 0 if is_leaf(t) else 1 + count(t.left) + count(t.right)
+
+    for n in range(0, 8):
+        for t in enumerate_trees(n):
+            assert size(t) == count(t) == n
+            copy = from_paren(to_paren(t))
+            assert copy == t and hash(copy) == hash(t)
+            assert n == 0 or copy is not t
+
+
+def test_hub_objects_are_immutable():
+    t = from_paren("((..).)")
+    x = Interval(1, 2)
+    for obj, attr in ((t, "left"), (t, "size"), (t, "extra"), (x, "a"), (x, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, LEAF)
+    assert t == Node(Node(LEAF, LEAF), LEAF) and size(t) == 2
+    assert x == Interval(1, 2)
 
 
 def test_paren_parser_accepts_ascii_and_whitespace():
@@ -245,6 +268,8 @@ def test_young_diagram_invariants():
         YoungDiagram((3,), 3)  # breaks the staircase
     with pytest.raises(InvariantError):
         YoungDiagram((2, 0), 3)  # zero rows not stored
+    with pytest.raises(InvariantError):
+        YoungDiagram((True,), 3)  # a bool is not a row length
 
 
 def test_young_conjugate():
@@ -258,6 +283,8 @@ def test_gapped_diagram_invariants():
         GappedYoungDiagram(frozenset({(3, 3)}), 4)  # outside the triangle
     with pytest.raises(InvariantError):
         GappedYoungDiagram(frozenset({(0, 0)}), 4)  # above the ceiling
+    with pytest.raises(InvariantError):
+        GappedYoungDiagram(frozenset({(True, 0)}), 4)  # a bool is not a row
     floating = GappedYoungDiagram(frozenset({(2, 0)}), 4)
     assert not floating.columns_anchored()
 

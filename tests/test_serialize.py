@@ -112,8 +112,23 @@ def test_torsion_document_must_be_a_real_pair():
     # disjoint sets that are not mutually perpendicular must be rejected
     with pytest.raises(InvariantError):
         deserialize_torsion('{"n": 4, "torsion": [[1, 2]], "free": []}')
+    with pytest.raises(InvariantError):  # free is perp, but torsion lacks [2, 2]
+        deserialize_torsion('{"n": 4, "torsion": [[1, 2]], "free": [[1, 1], [3, 3]]}')
     with pytest.raises(MalformedDocumentError):
         deserialize_torsion('{"n": 4, "torsion": [[1, 2]]}')
+
+
+def test_short_torsion_document_builds_no_engine(monkeypatch):
+    # a pair of ambient n has at least n - 1 balls; a shorter document is
+    # rejected before the bitmask tables of its ambient are built
+    import catbij.torsion
+
+    def no_engine(n):
+        raise AssertionError(f"engine built for ambient {n}")
+
+    monkeypatch.setattr(catbij.torsion, "_engine", no_engine)
+    with pytest.raises(InvariantError):
+        deserialize_torsion('{"n": 40, "torsion": [[1, 1]], "free": [[2, 39]]}')
 
 
 def test_gapped_errors():
@@ -121,3 +136,21 @@ def test_gapped_errors():
         deserialize_gapped('{"n": 4, "boxes": [[1]]}')
     with pytest.raises(InvariantError):
         deserialize_gapped('{"n": 4, "boxes": [[3, 3]]}')  # outside the triangle
+
+
+@pytest.mark.parametrize(
+    "deserialize, text",
+    [
+        (deserialize_young, '{"n": 3, "rows": [true]}'),
+        (deserialize_gapped, '{"n": 3, "boxes": [[true, 0]]}'),
+        (deserialize_interval, "[true, true]"),
+        (deserialize_torsion, '{"n": 2, "torsion": [[true, 1]], "free": []}'),
+        (deserialize_perm, "[true]"),
+    ],
+    ids=["young", "gapped", "interval", "torsion", "perm"],
+)
+def test_json_booleans_are_not_integers(deserialize, text):
+    # each document is valid with 1 in place of true
+    deserialize(text.replace("true", "1"))
+    with pytest.raises(MalformedDocumentError):
+        deserialize(text)

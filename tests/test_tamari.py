@@ -1,5 +1,8 @@
 """Tamari lattice structure, chain counts, and order reversal."""
 
+import random
+from math import factorial
+
 import pytest
 
 from catbij import (
@@ -17,6 +20,14 @@ from catbij import (
     tree_to_torsion,
     verify_order_reversing,
 )
+from catbij.tamari import _leq_matrix
+
+
+def reorderings(nodes):
+    """The node tuple reversed, and shuffled with a fixed seed."""
+    shuffled = list(nodes)
+    random.Random(len(nodes)).shuffle(shuffled)
+    return [tuple(reversed(nodes)), tuple(shuffled)]
 
 
 def test_covers_of_top():
@@ -64,14 +75,32 @@ def test_bottom_and_top():
 
 def test_is_lattice():
     for n in range(1, 7):
-        assert is_lattice(build_lattice(n))
+        p = build_lattice(n)
+        assert is_lattice(p)
+        # the check must not rely on the nodes coming in canonical order
+        for nodes in reorderings(p.nodes):
+            assert is_lattice(TamariPoset(nodes, p.covers))
 
 
 def test_removed_edge_breaks_lattice():
     p = build_lattice(3)
     removed = next(iter(p.covers))
-    broken = TamariPoset(p.nodes, p.covers - {removed})
-    assert not is_lattice(broken)
+    for nodes in [p.nodes] + reorderings(p.nodes):
+        broken = TamariPoset(nodes, p.covers - {removed})
+        assert not is_lattice(broken)
+
+
+def test_interval_count_matches_chapoton():
+    # Chapoton (2006): the size-n Tamari lattice has 2(4n+1)!/((n+1)!(3n+2)!)
+    # intervals, that is pairs t <= u
+    counts = []
+    for n in range(1, 7):
+        _, leq = _leq_matrix(build_lattice(n))
+        counts.append(sum(row.bit_count() for row in leq))
+        assert counts[-1] == 2 * factorial(4 * n + 1) // (
+            factorial(n + 1) * factorial(3 * n + 2)
+        )
+    assert counts == [1, 3, 13, 68, 399, 2530]
 
 
 def test_chain_counts():
@@ -83,7 +112,7 @@ def test_chain_counts():
 
 def test_chain_count_against_plain_dfs():
     # unmemoized path enumeration as the independent oracle
-    for n in range(1, 6):
+    for n in range(1, 7):
         p = build_lattice(n)
         top = p.top()
         up = {}
