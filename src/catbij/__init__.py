@@ -8,6 +8,7 @@ from .baseball import (
     perm_to_torsion,
     perm_to_tree,
     torsion_to_perm,
+    trace_wires,
     tree_to_perm,
 )
 from .bookshelf import (

@@ -1,17 +1,17 @@
-"""213-avoiding permutations <-> trees via the wire diagram.
+"""213-avoiding permutations <-> trees by the minimum split.
 
-The ball triangle of a size-n tree doubles as a routing grid.  A ball sitting
-immediately above a descending edge is a baseball and passes its two wires
-straight through (upper stays upper); every other ball is a crossball and
-swaps them.  Wires enter on the upper-right boundary, labeled 1..n top to
-bottom, and exit on the upper-left; one line below the bottom row each wire
-makes a U-turn at a virtual ball.  Reading the exit labels top to bottom
-yields the permutation.
+With y the prefix before the smallest entry and x the suffix after it, the
+tree is Node(tree(x), tree(y)); x hangs off the left root axis, y at the far
+end of the ceiling.  Read backwards, tree_to_perm is
+perm(Node(X, Y)) = (perm(Y) + size(X) + 1) ++ (1,) ++ (perm(X) + 1).
 
-The permutation-to-tree direction cuts at the minimum: with y the prefix
-before the smallest entry and x the suffix after it, the tree is
-Node(tree(x), tree(y)); x hangs off the left root axis, y at the far end of
-the ceiling.
+The paper's construction, the wire diagram, is kept as trace_wires, and
+verify checks tree_to_perm against it.  A ball over a descending edge is a
+baseball (the torsion class) and passes its two wires straight through;
+every other ball is a crossball and swaps them.  Wires enter on the
+upper-right boundary, labeled 1..n top to bottom, exit on the upper-left,
+and make a U-turn one line below the bottom row; the exit labels, top to
+bottom, are the permutation.
 """
 
 from .core import (
@@ -21,6 +21,7 @@ from .core import (
     Node,
     NotAPermutationError,
     is_213_avoiding,
+    is_leaf,
     is_permutation,
     size,
 )
@@ -32,36 +33,34 @@ CROSSBALL = "crossball"
 
 
 def classify_balls(t: BinaryTree) -> dict:
-    """Kind of every ball of the triangle, from the drawing geometry.
-
-    The descending line of a node spanning leaves i..j runs along row n - j
-    from column i to column j; the ball [a, b] has its lower-left side on the
-    unit segment (n - b, a-1) -> (n - b, a), so it is a baseball exactly when
-    a descending segment covers that piece.
-    """
-    from .core import leaf_spans
-
+    """Kind of every ball of the triangle; the torsion class are the baseballs."""
     n = size(t)
-    desc = set()
-    for (i, j, kind) in leaf_spans(t):
-        if kind == "left":
-            desc.update((n - j, y) for y in range(i, j))
-    kinds = {}
-    for ball in all_balls(n):
-        on_desc = (n - ball.b, ball.a - 1) in desc
-        kinds[ball] = BASEBALL if on_desc else CROSSBALL
-    return kinds
+    base = tree_to_torsion(t).torsion if n else frozenset()
+    return {ball: BASEBALL if ball in base else CROSSBALL for ball in all_balls(n)}
 
 
 def tree_to_perm(t: BinaryTree) -> tuple:
+    """The 213-avoiding permutation of t, by the minimum split."""
+    perm = _min_split(t)
+    if not is_213_avoiding(perm):
+        raise InvariantError(f"the minimum split produced a 213 pattern: {perm}")
+    return perm
+
+
+def _min_split(t):
+    if is_leaf(t):
+        return ()
+    low = t.left.size + 1
+    right, left = _min_split(t.right), _min_split(t.left)
+    return tuple(v + low for v in right) + (1,) + tuple(v + 1 for v in left)
+
+
+def trace_wires(t: BinaryTree) -> tuple:
     """Trace all wires through the grid and read the left boundary."""
     n = size(t)
-    if n == 0:
-        return ()
-    if n == 1:
-        return (1,)  # no balls; the single wire goes straight across
-    kinds = classify_balls(t)
-    base = {(x.a, x.b) for x, k in kinds.items() if k == BASEBALL}
+    if n < 2:
+        return tuple(range(1, n + 1))  # no balls; a single wire goes straight across
+    base = {(x.a, x.b) for x in tree_to_torsion(t).torsion}
     out = [0] * n
     for w in range(1, n + 1):
         if w <= n - 1:
@@ -86,10 +85,7 @@ def tree_to_perm(t: BinaryTree) -> tuple:
                     slot = n
                     break
         out[slot - 1] = w
-    perm = tuple(out)
-    if not is_213_avoiding(perm):
-        raise InvariantError(f"wire tracing produced a 213 pattern: {perm}")
-    return perm
+    return tuple(out)
 
 
 def perm_to_tree(p) -> BinaryTree:

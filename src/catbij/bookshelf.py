@@ -1,4 +1,4 @@
-"""The direct tree <-> Young diagram bijection via shelves.
+"""The tree <-> Young diagram bijection via shelves.
 
 A shelf is a maximal descending branch of the stretched drawing other than
 the ceiling (the rightmost root-to-leaf descent).  Each internal node that is
@@ -16,9 +16,10 @@ around the root's gap column.  On partitions that recursion reads as
     rows(Node(X, Y)) = [rows(Y) padded to size(Y) entries, each + size(X)]
                         ++ [size(X)] ++ rows(X)
 
-which is what inverse_bookshelf inverts.  A nonzero split exists exactly when
-some row is tight against the staircase (rows[t-1] + t == n), so the search
-below is small; it backtracks only on genuinely ambiguous tight rows.
+and undoing it is the paper's gap-insertion inverse, a backtracking search
+over tight rows (rows[t-1] + t == n) kept in verify as an oracle.  The
+inverse used here goes through the Dyck path instead: bookshelf(t) equals
+dyck_to_young(tree_to_dyck(t)), so inverse_bookshelf is linear.
 """
 
 from dataclasses import dataclass
@@ -32,10 +33,9 @@ from .core import (
     TreeCoordinate,
     YoungDiagram,
     leaf_spans,
-    right_comb,
     size,
-    staircase_ok,
 )
+from .dyck import dyck_to_tree, young_to_dyck
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ def bookshelf_gapped(t: BinaryTree) -> GappedYoungDiagram:
 
 
 def push_gaps(g: GappedYoungDiagram) -> YoungDiagram:
-    """Left-justify every row of cells.  Errors if the result is not a partition."""
+    """Left-justify every row of cells.  YoungDiagram rejects a result that
+    is not a partition."""
     counts = {}
     for (row, _) in g.boxes:
         counts[row] = counts.get(row, 0) + 1
@@ -98,10 +99,6 @@ def push_gaps(g: GappedYoungDiagram) -> YoungDiagram:
         rows.append(counts.get(row, 0))
     while rows and rows[-1] == 0:
         rows.pop()
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)) or 0 in rows:
-        raise InvariantError(
-            f"pushing yields non-monotone rows {tuple(rows)}; not a bookshelf image"
-        )
     return YoungDiagram(tuple(rows), g.n)
 
 
@@ -140,49 +137,8 @@ def tree_from_profile(profile) -> BinaryTree:
 
 
 def inverse_bookshelf(y: YoungDiagram, n: int) -> BinaryTree:
-    """The unique size-n tree with bookshelf(t) == y.
+    """The unique size-n tree with bookshelf(t) == y, by the Dyck route.
 
-    Follows the recursive gap-insertion scheme: a tight row (rows[t-1] + t
-    == n) marks the column block belonging to the left subtree, otherwise the
-    whole diagram belongs to the right subtree of a root with a bare left
-    leaf.  Stopping conditions are the empty diagram (right comb) and size 0.
+    Rebuilding y in ambient n raises InvariantError when n is too small.
     """
-    rows = tuple(y.rows)
-    if not staircase_ok(rows, n):
-        raise InvariantError(
-            f"{rows} violates the staircase bound for ambient {n} (ambient too small)"
-        )
-    t = _inverse(rows, n)
-    if t is None:
-        raise InvariantError(f"no size-{n} tree maps to {rows}")
-    return t
-
-
-def _inverse(rows, n):
-    if n == 0:
-        return LEAF if not rows else None
-    if not rows:
-        return right_comb(n)
-    if staircase_ok(rows, n - 1):
-        sub = _inverse(rows, n - 1)
-        if sub is not None:
-            return Node(LEAF, sub)
-    for t in range(1, len(rows) + 1):
-        if rows[t - 1] + t != n:
-            continue
-        sx = rows[t - 1]
-        sy = n - 1 - sx
-        if t - 1 > sy:
-            continue
-        ypart = tuple(r - sx for r in rows[: t - 1] if r - sx > 0)
-        xpart = rows[t:]
-        if not (staircase_ok(ypart, sy) and staircase_ok(xpart, sx)):
-            continue
-        left = _inverse(xpart, sx)
-        if left is None:
-            continue
-        right = _inverse(ypart, sy)
-        if right is None:
-            continue
-        return Node(left, right)
-    return None
+    return dyck_to_tree(young_to_dyck(YoungDiagram(y.rows, n)))

@@ -24,7 +24,7 @@ from .core import (
     enumerate_young,
     to_paren,
 )
-from .errors import CatbijError
+from .errors import CatbijError, InvariantError
 
 FAMILIES = ("tree", "dyck", "young", "perm213", "torsion")
 
@@ -36,6 +36,11 @@ def _die(msg, code=1):
     return code
 
 
+def _check_bound(family: str, n: int):
+    if n > _MAX_N[family]:
+        raise InvariantError(f"n={n} out of bounds for {family} (0..{_MAX_N[family]})")
+
+
 def _to_tree(family: str, text: str) -> BinaryTree:
     if family == "tree":
         return serialize.deserialize_tree(text)
@@ -43,9 +48,12 @@ def _to_tree(family: str, text: str) -> BinaryTree:
         return dyck.dyck_to_tree(serialize.deserialize_dyck(text))
     if family == "young":
         y = serialize.deserialize_young(text)
+        _check_bound(family, y.n)
         return inverse_bookshelf(y, y.n)
     if family == "perm213":
-        return baseball.perm_to_tree(serialize.deserialize_perm(text))
+        p = serialize.deserialize_perm(text)
+        _check_bound(family, len(p))
+        return baseball.perm_to_tree(p)
     if family == "torsion":
         tp = serialize.deserialize_torsion(text)
         return torsion.torsion_to_tree(tp.torsion, tp.n)

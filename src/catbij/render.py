@@ -5,10 +5,9 @@ balls, red for ascending edges and torsion-free balls, gray for boxes.
 Output is byte-identical across runs for identical input.
 """
 
-from .baseball import BASEBALL, classify_balls
+from .baseball import BASEBALL, classify_balls, tree_to_perm
 from .core import (
     BinaryTree,
-    GappedYoungDiagram,
     TorsionPair,
     YoungDiagram,
     node_coordinates,
@@ -54,22 +53,6 @@ def render_young_ascii(y: YoungDiagram) -> str:
     if not y.rows:
         return "(empty diagram)"
     return "\n".join(_CELL * r for r in y.rows)
-
-
-def render_gapped_ascii(g: GappedYoungDiagram) -> str:
-    """Tilted-frame cells; dots fill the triangle positions with no box."""
-    if not g.boxes:
-        return "(empty diagram)"
-    lines = []
-    for row in range(1, g.n):
-        cells = []
-        for col in range(0, g.n - row):
-            cells.append(_CELL if (row, col) in g.boxes else "·")
-        line = "".join(cells).rstrip("·")
-        lines.append(line)
-    while lines and not lines[-1]:
-        lines.pop()
-    return "\n".join(lines)
 
 
 def _ball_center(a, b, n, scale, pad):
@@ -159,8 +142,6 @@ def render_wire_svg(t: BinaryTree) -> str:
                     f'<line x1="{bx - d}" y1="{by + d}" x2="{bx + d}" y2="{by - d}" '
                     'stroke="black" stroke-width="1"/>'
                 )
-    from .baseball import tree_to_perm
-
     perm = tree_to_perm(t)
     for w in range(1, n + 1):
         rx = (n + w) * scale + pad + 18

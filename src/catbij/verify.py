@@ -8,6 +8,9 @@ first counterexample it finds, as a serialized document.  Suites:
     torsion         Hom calibration, torsion pairs from trees, closure rules
     tamari          lattice structure, chain counts, order reversal
     all             everything above
+
+The paper's own constructions are oracles here: the gap-insertion search
+must agree with inverse_bookshelf, the wire diagram with tree_to_perm.
 """
 
 from itertools import combinations
@@ -15,16 +18,57 @@ from itertools import combinations
 from . import baseball, dyck, serialize, tamari, torsion
 from .bookshelf import bookshelf, bookshelf_gapped, inverse_bookshelf
 from .core import (
+    LEAF,
+    Node,
     catalan,
     enumerate_dyck,
     enumerate_perms213,
     enumerate_trees,
     enumerate_young,
+    right_comb,
+    staircase_ok,
     to_paren,
     YoungDiagram,
 )
 
 SUITES = ("roundtrips", "commutativity", "torsion", "tamari", "all")
+
+
+def _gap_insertion(rows, n):
+    """The paper's gap-insertion inverse of the bookshelf, a search that
+    returns None when no size-n tree maps to rows.
+
+    A tight row (rows[t-1] + t == n) marks the column block of the left
+    subtree; otherwise the whole diagram belongs to the right subtree of a
+    root with a bare left leaf.
+    """
+    if n == 0:
+        return LEAF if not rows else None
+    if not rows:
+        return right_comb(n)
+    if staircase_ok(rows, n - 1):
+        sub = _gap_insertion(rows, n - 1)
+        if sub is not None:
+            return Node(LEAF, sub)
+    for t in range(1, len(rows) + 1):
+        if rows[t - 1] + t != n:
+            continue
+        sx = rows[t - 1]
+        sy = n - 1 - sx
+        if t - 1 > sy:
+            continue
+        ypart = tuple(r - sx for r in rows[: t - 1] if r - sx > 0)
+        xpart = rows[t:]
+        if not (staircase_ok(ypart, sy) and staircase_ok(xpart, sx)):
+            continue
+        left = _gap_insertion(xpart, sx)
+        if left is None:
+            continue
+        right = _gap_insertion(ypart, sy)
+        if right is None:
+            continue
+        return Node(left, right)
+    return None
 
 
 def _check(name, failures, report):
@@ -59,7 +103,8 @@ def verify_roundtrips(n_max: int) -> dict:
                 fails.append(to_paren(t))
         for rows in enumerate_young(n):
             y = YoungDiagram(rows, n)
-            if bookshelf(inverse_bookshelf(y, n)) != y:
+            t = inverse_bookshelf(y, n)
+            if bookshelf(t) != y or _gap_insertion(rows, n) != t:
                 fails.append(serialize.serialize_young(y))
     _check("bookshelf both ways", fails, report)
 
@@ -69,7 +114,8 @@ def verify_roundtrips(n_max: int) -> dict:
             if baseball.tree_to_perm(baseball.perm_to_tree(p)) != p:
                 fails.append(list(p))
         for t in enumerate_trees(n):
-            if baseball.perm_to_tree(baseball.tree_to_perm(t)) != t:
+            p = baseball.tree_to_perm(t)
+            if baseball.perm_to_tree(p) != t or baseball.trace_wires(t) != p:
                 fails.append(to_paren(t))
     _check("perm <-> tree", fails, report)
 

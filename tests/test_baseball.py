@@ -20,6 +20,7 @@ from catbij import (
     perm_to_tree,
     size,
     torsion_to_perm,
+    trace_wires,
     tree_to_perm,
     tree_to_torsion,
 )
@@ -89,12 +90,14 @@ def test_every_ball_classified():
 
 
 def test_round_trip_and_avoidance():
-    # avoidance holds through n = 8; round trips exhaustive through n = 7
+    # avoidance and the wire diagram hold through n = 8; round trips
+    # exhaustive through n = 7
     for n in range(0, 9):
         for t in enumerate_trees(n):
             p = tree_to_perm(t)
             assert is_213_avoiding(p)
-            assert sorted(p) == list(range(1, n + 1))  # wire conservation
+            assert sorted(p) == list(range(1, n + 1))
+            assert trace_wires(t) == p
     for n in range(0, 8):
         outputs = set()
         for t in enumerate_trees(n):

@@ -25,6 +25,7 @@ from catbij import (
     to_paren,
     tree_to_dyck,
 )
+from catbij.verify import _gap_insertion
 
 # the worked five-leaf tree whose shelves run (1,0)->(1,3) and (2,1)->(2,2)
 WORKED_TREE = Node(Node(LEAF, Node(Node(LEAF, LEAF), LEAF)), LEAF)
@@ -207,6 +208,7 @@ def test_inverse_bookshelf_matches_search_oracle():
         for rows in enumerate_young(n):
             y = YoungDiagram(rows, n)
             assert inverse_bookshelf(y, n) == table[y]
+            assert _gap_insertion(rows, n) == table[y]
 
 
 def test_inverse_bookshelf_ambient_errors():

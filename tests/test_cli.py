@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from catbij.cli import main
 
 
@@ -71,6 +73,20 @@ def test_convert_bad_input(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "source, doc",
+    [
+        ("young", '{"n": 2000000, "rows": []}'),
+        ("perm213", json.dumps(list(range(1500, 0, -1)))),
+    ],
+    ids=["young", "perm213"],
+)
+def test_convert_enforces_the_documented_bound(capsys, source, doc):
+    code, out, err = run(capsys, "convert", source, "tree", "--input", doc)
+    assert code == 1 and out == ""
+    assert "out of bounds" in err
+
+
 def test_convert_round_trips_all_pairs(capsys):
     from catbij import enumerate_trees
     from catbij.cli import FAMILIES, _from_tree, _to_tree
@@ -110,6 +126,19 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(v, "run_suite", broken)
     code, out, _ = run(capsys, "verify", "all", "--n-max", "2")
     assert code == 2
+
+
+def test_verify_oracles_are_not_vacuous(monkeypatch):
+    from catbij import baseball, tree_to_perm
+    import catbij.verify as v
+
+    def failed(report):
+        return {c["name"] for c in report["checks"] if not c["passed"]}
+
+    monkeypatch.setattr(baseball, "trace_wires", lambda t: tree_to_perm(t)[::-1])
+    assert failed(v.run_suite("roundtrips", 4)) == {"perm <-> tree"}
+    monkeypatch.setattr(v, "_gap_insertion", lambda rows, n: None)
+    assert "bookshelf both ways" in failed(v.run_suite("roundtrips", 4))
 
 
 def test_chains(capsys):

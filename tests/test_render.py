@@ -6,7 +6,6 @@ from catbij import (
     Interval,
     TorsionPair,
     YoungDiagram,
-    bookshelf_gapped,
     build_lattice,
     enumerate_trees,
     from_paren,
@@ -14,7 +13,6 @@ from catbij import (
 from catbij.render import (
     BLUE,
     RED,
-    render_gapped_ascii,
     render_lattice_dot,
     render_torsion_svg,
     render_tree_ascii,
@@ -38,11 +36,6 @@ def test_tree_ascii_snapshot():
         ]
     )
     assert render_tree_ascii(from_paren(".")) == "•"
-
-
-def test_gapped_ascii_shows_gaps():
-    g = bookshelf_gapped(from_paren("((..)((..).))"))
-    assert render_gapped_ascii(g) == "□·□\n□\n□"
 
 
 def test_torsion_svg_labeled_pair():
