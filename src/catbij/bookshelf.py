@@ -9,33 +9,30 @@ form a rectangle and each occupied column of the tilted frame is one run
 anchored at row 1.  Pushing every row of cells flush left kills the gaps and
 leaves an ordinary staircase partition.
 
-The column-height profile (cells per column, in column order) determines the
-tree exactly: a profile splits as [left part + sY + 1] ++ [0] ++ [right part]
-around the root's gap column.  On partitions that recursion reads as
-
-    rows(Node(X, Y)) = [rows(Y) padded to size(Y) entries, each + size(X)]
-                        ++ [size(X)] ++ rows(X)
-
-and undoing it is the paper's gap-insertion inverse, a backtracking search
-over tight rows (rows[t-1] + t == n) kept in verify as an oracle.  The
-inverse used here goes through the Dyck path instead: bookshelf(t) equals
-dyck_to_young(tree_to_dyck(t)), so inverse_bookshelf is linear.
+Production goes through the Dyck path instead of the shelves: bookshelf(t)
+is dyck_to_young(tree_to_dyck(t)), and every tree is rebuilt by
+dyck_to_tree.  Pushing the gaps out sorts the column heights, so the columns
+of bookshelf(t), longest first, are column_profile(t) sorted; a profile
+therefore rebuilds its tree through the path those columns bound.  The shelf
+construction (shelves, column_profile, bookshelf_gapped, push_gaps) stays
+public: verify checks push_gaps(bookshelf_gapped(t)) against bookshelf(t),
+and the torsion module's gapped frames against bookshelf_gapped.  The paper's
+gap-insertion inverse, a backtracking search over tight rows
+(rows[t-1] + t == n), is kept in verify as an oracle for inverse_bookshelf.
 """
 
 from dataclasses import dataclass
 
 from .core import (
-    LEAF,
     BinaryTree,
     GappedYoungDiagram,
     InvariantError,
-    Node,
     TreeCoordinate,
     YoungDiagram,
     leaf_spans,
     size,
 )
-from .dyck import dyck_to_tree, young_to_dyck
+from .dyck import _columns_to_dyck, dyck_to_tree, dyck_to_young, tree_to_dyck, young_to_dyck
 
 
 @dataclass(frozen=True)
@@ -79,13 +76,16 @@ def column_profile(t: BinaryTree) -> list:
     return heights
 
 
-def bookshelf_gapped(t: BinaryTree) -> GappedYoungDiagram:
-    n = size(t)
-    profile = column_profile(t)
+def _gapped_from_heights(heights, n: int) -> GappedYoungDiagram:
+    """Column c holds the cells of rows 1 .. heights[c]."""
     cells = frozenset(
-        (row, c) for c, h in enumerate(profile) for row in range(1, h + 1)
+        (row, c) for c, h in enumerate(heights) for row in range(1, h + 1)
     )
     return GappedYoungDiagram(cells, n)
+
+
+def bookshelf_gapped(t: BinaryTree) -> GappedYoungDiagram:
+    return _gapped_from_heights(column_profile(t), size(t))
 
 
 def push_gaps(g: GappedYoungDiagram) -> YoungDiagram:
@@ -103,7 +103,7 @@ def push_gaps(g: GappedYoungDiagram) -> YoungDiagram:
 
 
 def bookshelf(t: BinaryTree) -> YoungDiagram:
-    return push_gaps(bookshelf_gapped(t))
+    return dyck_to_young(tree_to_dyck(t))
 
 
 def min_tree_size(y: YoungDiagram) -> int:
@@ -122,18 +122,8 @@ def min_tree_size(y: YoungDiagram) -> int:
 
 
 def tree_from_profile(profile) -> BinaryTree:
-    """Rebuild the tree whose column_profile equals the given sequence."""
-    profile = list(profile)
-    if not profile:
-        return LEAF
-    if 0 not in profile:
-        raise InvariantError(f"profile {profile} has no gap column")
-    g = profile.index(0)
-    sy = len(profile) - 1 - g
-    left_part = [h - (sy + 1) for h in profile[:g]]
-    if any(h < 0 for h in left_part):
-        raise InvariantError(f"profile {profile} is not a bookshelf image")
-    return Node(tree_from_profile(left_part), tree_from_profile(profile[g + 1 :]))
+    """The tree whose bookshelf columns are the sorted profile."""
+    return dyck_to_tree(_columns_to_dyck(sorted(profile, reverse=True), len(profile)))
 
 
 def inverse_bookshelf(y: YoungDiagram, n: int) -> BinaryTree:

@@ -6,7 +6,8 @@ everything through the binary tree hub.  Exit codes: 0 success, 1 usage or
 input error, 2 verification failure.
 
 Documented feasibility bounds: n <= 12 for trees, paths, diagrams and
-permutations; n <= 8 for torsion; n <= 9 for chain counting.
+permutations; n <= 8 for torsion and the lattice; n <= 9 for chain
+counting; --n-max 2..9 for verify.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from .core import (
     enumerate_perms213,
     enumerate_trees,
     enumerate_young,
+    size,
     to_paren,
 )
 from .errors import CatbijError, InvariantError
@@ -43,9 +45,13 @@ def _check_bound(family: str, n: int):
 
 def _to_tree(family: str, text: str) -> BinaryTree:
     if family == "tree":
-        return serialize.deserialize_tree(text)
+        t = serialize.deserialize_tree(text)
+        _check_bound(family, size(t))
+        return t
     if family == "dyck":
-        return dyck.dyck_to_tree(serialize.deserialize_dyck(text))
+        p = serialize.deserialize_dyck(text)
+        _check_bound(family, p.semilength)
+        return dyck.dyck_to_tree(p)
     if family == "young":
         y = serialize.deserialize_young(text)
         _check_bound(family, y.n)
@@ -122,6 +128,8 @@ def cmd_convert(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in verify.SUITES:
         return _die(f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITES)}")
+    if not 2 <= args.n_max <= 9:
+        return _die("verify needs --n-max in 2..9")
     report = verify.run_suite(args.suite, args.n_max)
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 2
@@ -133,8 +141,8 @@ def cmd_render(args) -> int:
         text = _read_input(args)
     try:
         if args.family == "lattice":
-            if args.n is None:
-                return _die("render lattice needs --n")
+            if args.n is None or not (1 <= args.n <= 8):
+                return _die("render lattice needs --n in 1..8")
             p = tamari.build_lattice(args.n)
             out = render.render_lattice_dot(p)
         elif args.family == "young" and args.backend == "ascii":

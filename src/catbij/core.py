@@ -113,30 +113,32 @@ def to_paren(t: BinaryTree) -> str:
 
 def from_paren(text: str) -> BinaryTree:
     """Parse magma notation.  Whitespace is ignored; '.' and '*' also mean leaf."""
-    toks = [c for c in text if not c.isspace()]
-    pos = 0
-
-    def parse() -> BinaryTree:
-        nonlocal pos
-        if pos >= len(toks):
-            raise InvariantError("unexpected end of parenthesization")
-        c = toks[pos]
-        if c in ("•", ".", "*"):
-            pos += 1
-            return LEAF
-        if c != "(":
+    open_nodes = []  # the children read so far of each unclosed "("
+    out = None
+    for c in text:
+        if c.isspace():
+            continue
+        if out is not None:
+            raise InvariantError("trailing characters after parenthesization")
+        if open_nodes and len(open_nodes[-1]) == 2:
+            if c != ")":
+                raise InvariantError("unbalanced parenthesization")
+            node = Node(*open_nodes.pop())
+        elif c == "(":
+            open_nodes.append([])
+            continue
+        elif c in ("•", ".", "*"):
+            node = LEAF
+        else:
             raise InvariantError(f"unexpected character {c!r} in parenthesization")
-        pos += 1
-        left = parse()
-        right = parse()
-        if pos >= len(toks) or toks[pos] != ")":
+        if open_nodes:
+            open_nodes[-1].append(node)
+        else:
+            out = node
+    if out is None:
+        if open_nodes and len(open_nodes[-1]) == 2:
             raise InvariantError("unbalanced parenthesization")
-        pos += 1
-        return Node(left, right)
-
-    out = parse()
-    if pos != len(toks):
-        raise InvariantError("trailing characters after parenthesization")
+        raise InvariantError("unexpected end of parenthesization")
     return out
 
 

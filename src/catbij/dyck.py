@@ -74,15 +74,18 @@ def dyck_to_young(p: DyckPath) -> YoungDiagram:
     return YoungDiagram(tuple(rows), n)
 
 
-def young_to_dyck(y: YoungDiagram) -> DyckPath:
-    n = y.n
-    conj = y.conjugate()
-    cols = [conj[c] if c < len(conj) else 0 for c in range(n)]
+def _columns_to_dyck(cols, n: int) -> DyckPath:
+    """The path under columns of these lengths, longest first, in the n x n square."""
     parts = []
     prev = n
-    for c in cols:
-        parts.append("U" * (prev - c) + "R")
-        prev = c
+    for c in range(n):
+        h = cols[c] if c < len(cols) else 0
+        parts.append("U" * (prev - h) + "R")
+        prev = h
     if prev != 0:
-        raise InvariantError(f"{y.rows} does not close a path in ambient {n}")
+        raise InvariantError(f"columns {tuple(cols)} do not close a path in ambient {n}")
     return DyckPath("".join(parts))
+
+
+def young_to_dyck(y: YoungDiagram) -> DyckPath:
+    return _columns_to_dyck(y.conjugate(), y.n)

@@ -40,7 +40,7 @@ from .torsion import perp_left, perp_right
 def _load(text):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, TypeError, RecursionError) as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from exc
 
 
@@ -51,11 +51,19 @@ def serialize_tree(t: BinaryTree) -> str:
 
 
 def _tree_from_lists(doc):
-    if doc == [] or doc is None:
-        return LEAF
-    if isinstance(doc, list) and len(doc) == 2:
-        return Node(_tree_from_lists(doc[0]), _tree_from_lists(doc[1]))
-    raise MalformedDocumentError(f"bad tree node {doc!r}; expected [] or [left, right]")
+    out = []
+    todo = [(doc, False)]  # True: both children of this node are on out
+    while todo:
+        item, joined = todo.pop()
+        if joined:
+            out[-2:] = [Node(*out[-2:])]
+        elif item == [] or item is None:
+            out.append(LEAF)
+        elif isinstance(item, list) and len(item) == 2:
+            todo += [(item, True), (item[1], False), (item[0], False)]
+        else:
+            raise MalformedDocumentError(f"bad tree node {item!r}; expected [] or [left, right]")
+    return out[0]
 
 
 def deserialize_tree(text: str) -> BinaryTree:

@@ -10,7 +10,11 @@ For a tree, the balls sitting on descending edges form the torsion class and
 the balls on ascending edges the torsion-free class: a left child spanning
 leaves i..j contributes torsion balls [i+1, j] .. [j, j], a right child
 spanning i..j contributes free balls [i, i] .. [i, j-1].  Balls over neither
-edge kind belong to neither class.
+edge kind belong to neither class.  Back from a class, the lowest member
+[a, b] of ball column a gives tilted column a - 1 the height n - b.  Those
+heights are the tree's column_profile: torsion_to_tree rebuilds the tree from
+them through the Dyck path, and the gapped frame and the rectangle
+decomposition are read off them.
 
 Seed sweeps run over every subset of the triangle (2^15 subsets at n = 6), so
 the generation and closure cores work on bitmasks with per-ambient cached
@@ -21,14 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .bookshelf import tree_from_profile
+from .bookshelf import _gapped_from_heights, column_profile, tree_from_profile
 from .core import (
-    LEAF,
     BinaryTree,
     GappedYoungDiagram,
     Interval,
     InvariantError,
-    Node,
     TorsionPair,
     leaf_spans,
     size,
@@ -193,37 +195,25 @@ def tree_to_torsion(t: BinaryTree) -> TorsionPair:
     return TorsionPair(_to_set(tors, balls), _to_set(free, balls), n)
 
 
-def _bmin_profile(objs):
-    prof = {}
+def _heights(objs, n: int) -> list:
+    """Cells over each tilted column: column a - 1 has height n - b, where
+    [a, b] is the lowest member of ball column a (0 for an empty column)."""
+    heights = [0] * n
     for x in objs:
-        prof[x.a] = min(prof.get(x.a, x.b), x.b)
-    return prof
+        heights[x.a - 1] = max(heights[x.a - 1], n - x.b)
+    return heights
 
 
 def torsion_to_tree(objs, n: int) -> BinaryTree:
     """The unique size-n tree whose descending edges carry exactly objs.
 
-    Descending edges go under every member ball, then the leftover leaves are
-    linked with ascending edges.  Each distinct right endpoint b yields one
-    left-child span (min a - 1, b); everything else is forced.
+    The class's column heights are the tree's column_profile, and the tree
+    is rebuilt from them through the Dyck path.
     """
     objs = frozenset(objs)
     if not is_torsion_class(objs, n):
         raise InvariantError("input set is not a torsion class")
-    covers = {}
-    for x in objs:
-        covers[x.b] = min(covers.get(x.b, x.a), x.a)
-    spans = {(a - 1, b) for b, a in covers.items()}
-
-    def build(i, j):
-        if i == j:
-            return LEAF
-        ends = [e for (s, e) in spans if s == i and e < j]
-        m = max(ends) if ends else i
-        left = build(i, m) if m > i else LEAF
-        return Node(left, build(m + 1, j))
-
-    return build(0, n)
+    return tree_from_profile(_heights(objs, n))
 
 
 def enumerate_torsion(n: int) -> list:
@@ -241,10 +231,7 @@ def torsion_to_gapped_young(objs, n: int) -> GappedYoungDiagram:
     objs = frozenset(objs)
     if not is_torsion_class(objs, n):
         raise InvariantError("input set is not a torsion class")
-    cells = set()
-    for a, bmin in _bmin_profile(objs).items():
-        cells.update((n - b, a - 1) for b in range(bmin, n))
-    return GappedYoungDiagram(frozenset(cells), n)
+    return _gapped_from_heights(_heights(objs, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +263,14 @@ def decompose_rectangle(objs, n: int) -> RectangleSplit:
         raise InvariantError("input set is not a torsion class")
     if not objs:
         return RectangleSplit(0, 0, frozenset(), frozenset(), frozenset())
-    prof = _bmin_profile(objs)
-    s = 0
-    while (s + 1) not in prof:
-        s += 1
-    best = None
-    for k in range(1, n - s):
-        if Interval(s + k, s + k) not in objs:
-            continue
-        if any(prof.get(s + a, n) > s + k for a in range(1, k + 1)):
-            continue
-        boxes = k * (n - s - k)
-        if best is None or boxes > best[1]:
-            best = (k, boxes)
-    k = best[0]
+    heights = _heights(objs, n)
+    s = next(c for c, h in enumerate(heights) if h)
+    fits = [
+        k
+        for k in range(1, n - s)
+        if Interval(s + k, s + k) in objs and min(heights[s : s + k]) >= n - s - k
+    ]
+    k = max(fits, key=lambda k: k * (n - s - k))  # the first with the most boxes
     rect = frozenset(
         Interval(a, b) for a in range(s + 1, s + k + 1) for b in range(s + k, n)
     )
@@ -301,15 +282,17 @@ def decompose_rectangle(objs, n: int) -> RectangleSplit:
 
 
 def recompose_rectangle(split: RectangleSplit, n: int) -> frozenset:
-    """Inverse of decompose_rectangle, via the column-minimum profile."""
+    """Inverse of decompose_rectangle, through the column heights of the
+    pieces; InvariantError when they are no tree's column_profile."""
     if split.width == 0:
         return frozenset()
-    s, k = split.skipped, split.width
-    prof = {}
-    for a in range(1, k + 1):
-        xs = [x.b for x in split.left if x.a == s + a]
-        prof[s + a] = min(xs) if xs else s + k
-    for a, bmin in _bmin_profile(split.right).items():
-        prof[a + s + k] = bmin + s + k
-    heights = [n - prof[c + 1] if (c + 1) in prof else 0 for c in range(n)]
-    return tree_to_torsion(tree_from_profile(heights)).torsion
+    shift = split.skipped + split.width
+    right = {Interval(x.a + shift, x.b + shift) for x in split.right}
+    pieces = split.left | split.rectangle | right
+    for x in pieces:
+        x.check_ambient(n)
+    heights = _heights(pieces, n)
+    t = tree_from_profile(heights)
+    if column_profile(t) != heights:
+        raise InvariantError("split is not a rectangle decomposition")
+    return tree_to_torsion(t).torsion

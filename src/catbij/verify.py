@@ -4,19 +4,21 @@ Each check runs over every object up to the requested size and reports the
 first counterexample it finds, as a serialized document.  Suites:
 
     roundtrips      every bijection composed with its inverse is the identity
-    commutativity   bookshelf equals the Dyck route, gapped frames agree
+    commutativity   the shelf construction equals bookshelf (the Dyck
+                    route), gapped frames agree
     torsion         Hom calibration, torsion pairs from trees, closure rules
     tamari          lattice structure, chain counts, order reversal
     all             everything above
 
-The paper's own constructions are oracles here: the gap-insertion search
-must agree with inverse_bookshelf, the wire diagram with tree_to_perm.
+The paper's own constructions are oracles here: the shelf construction must
+agree with bookshelf, the gap-insertion search with inverse_bookshelf, the
+wire diagram with tree_to_perm.
 """
 
 from itertools import combinations
 
 from . import baseball, dyck, serialize, tamari, torsion
-from .bookshelf import bookshelf, bookshelf_gapped, inverse_bookshelf
+from .bookshelf import bookshelf, bookshelf_gapped, inverse_bookshelf, push_gaps
 from .core import (
     LEAF,
     Node,
@@ -136,7 +138,7 @@ def verify_commutativity(n_max: int) -> dict:
     fails = []
     for n in range(n_max + 1):
         for t in enumerate_trees(n):
-            if bookshelf(t) != dyck.dyck_to_young(dyck.tree_to_dyck(t)):
+            if push_gaps(bookshelf_gapped(t)) != bookshelf(t):
                 fails.append(to_paren(t))
     _check("bookshelf == dyck route", fails, report)
 

@@ -40,9 +40,11 @@ from catbij import (
     is_lattice,
     is_torsion_class,
     min_tree_size,
+    node_coordinates,
     perm_to_tree,
     perp_left,
     perp_right,
+    push_gaps,
     torsion_generate,
     torsion_to_gapped_young,
     torsion_to_tree,
@@ -86,7 +88,7 @@ def test_criterion_03_commutativity():
     trees7 = enumerate_trees(7)
     assert len(trees7) == 429
     for t in trees7:
-        assert bookshelf(t) == dyck_to_young(tree_to_dyck(t))
+        assert push_gaps(bookshelf_gapped(t)) == dyck_to_young(tree_to_dyck(t))
     assert time.monotonic() - start < 10.0
 
 
@@ -164,10 +166,19 @@ def test_criterion_08_baseball_bijection():
     assert tree_to_perm(from_paren("(.(..))")) == (2, 1)
     assert tree_to_perm(perm_to_tree((1, 3, 4, 2))) == (1, 3, 4, 2)
     assert tree_to_perm(perm_to_tree((5, 1, 2, 3, 4))) == (5, 1, 2, 3, 4)
+    # the baseballs, read from the stretched drawing: an internal left child
+    # at (x, y) carries the balls [a, n - x] for a in y + 1 .. n - x
     for n in range(1, 8):
         for t in enumerate_trees(n):
+            coords = node_coordinates(t)
+            drawn = {
+                Interval(a, n - c.x)
+                for path, c in coords.items()
+                if path.endswith("L") and path + "L" in coords
+                for a in range(c.y + 1, n - c.x + 1)
+            }
             base = {x for x, k in classify_balls(t).items() if k == BASEBALL}
-            assert base == tree_to_torsion(t).torsion
+            assert base == drawn
 
 
 def test_criterion_09_tamari_structure():

@@ -16,6 +16,7 @@ from catbij import (
     enumerate_trees,
     from_paren,
     is_213_avoiding,
+    node_coordinates,
     perm_to_torsion,
     perm_to_tree,
     size,
@@ -73,12 +74,25 @@ def test_worked_permutation_51234():
     assert tree_to_perm(t) == (5, 1, 2, 3, 4)
 
 
+def drawn_baseballs(t):
+    """Read from the stretched drawing: an internal left child at (x, y)
+    carries the balls [a, n - x] for a in y + 1 .. n - x."""
+    n = size(t)
+    coords = node_coordinates(t)
+    return {
+        Interval(a, n - c.x)
+        for path, c in coords.items()
+        if path.endswith("L") and path + "L" in coords
+        for a in range(c.y + 1, n - c.x + 1)
+    }
+
+
 def test_baseballs_are_the_torsion_class():
     for n in range(1, 8):
         for t in enumerate_trees(n):
             kinds = classify_balls(t)
             base = {x for x, k in kinds.items() if k == BASEBALL}
-            assert base == tree_to_torsion(t).torsion
+            assert base == drawn_baseballs(t) == tree_to_torsion(t).torsion
 
 
 def test_every_ball_classified():

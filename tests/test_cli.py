@@ -78,8 +78,11 @@ def test_convert_bad_input(capsys):
     [
         ("young", '{"n": 2000000, "rows": []}'),
         ("perm213", json.dumps(list(range(1500, 0, -1)))),
+        ("dyck", json.dumps("U" * 1500 + "R" * 1500)),
+        ("tree", json.dumps("(" * 1500 + "•" + "•)" * 1500)),
+        ("tree", "[" * 13 + "[]" + ", []]" * 13),
     ],
-    ids=["young", "perm213"],
+    ids=["young", "perm213", "dyck", "tree-paren", "tree-array"],
 )
 def test_convert_enforces_the_documented_bound(capsys, source, doc):
     code, out, err = run(capsys, "convert", source, "tree", "--input", doc)
@@ -117,6 +120,18 @@ def test_verify_unknown_suite(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n_max", ["-3", "0", "1", "10", "100"])
+def test_verify_rejects_n_max_outside_2_to_9(capsys, monkeypatch, n_max):
+    # below 2 some check sees no object; above 9 the sweep runs for minutes,
+    # so the suite must not even start
+    import catbij.verify as v
+
+    monkeypatch.setattr(v, "run_suite", lambda suite, n_max: pytest.fail("suite ran"))
+    code, out, err = run(capsys, "verify", "all", "--n-max", n_max)
+    assert code == 1 and out == ""
+    assert "2..9" in err
+
+
 def test_verify_failure_exits_2(capsys, monkeypatch):
     import catbij.verify as v
 
@@ -129,7 +144,7 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
 
 
 def test_verify_oracles_are_not_vacuous(monkeypatch):
-    from catbij import baseball, tree_to_perm
+    from catbij import YoungDiagram, baseball, tree_to_perm
     import catbij.verify as v
 
     def failed(report):
@@ -139,6 +154,8 @@ def test_verify_oracles_are_not_vacuous(monkeypatch):
     assert failed(v.run_suite("roundtrips", 4)) == {"perm <-> tree"}
     monkeypatch.setattr(v, "_gap_insertion", lambda rows, n: None)
     assert "bookshelf both ways" in failed(v.run_suite("roundtrips", 4))
+    monkeypatch.setattr(v, "push_gaps", lambda g: YoungDiagram((), g.n))
+    assert failed(v.run_suite("commutativity", 4)) == {"bookshelf == dyck route"}
 
 
 def test_chains(capsys):
@@ -171,6 +188,16 @@ def test_render_lattice_dot(capsys, tmp_path):
     assert code == 0
     text = target.read_text()
     assert text.count("[shape=box]") == 14 and text.count("->") == 21
+
+
+@pytest.mark.parametrize("n", ["0", "9", "20"])
+def test_render_lattice_is_bounded_like_lattice(capsys, monkeypatch, n):
+    from catbij import tamari
+
+    monkeypatch.setattr(tamari, "build_lattice", lambda n: pytest.fail("lattice built"))
+    code, out, err = run(capsys, "render", "lattice", "--n", n, "--backend", "dot")
+    assert code == 1 and out == ""
+    assert "1..8" in err
 
 
 def test_render_torsion_svg(capsys):

@@ -90,6 +90,14 @@ def test_tree_errors():
         deserialize_tree("17")
 
 
+def test_deep_tree_documents_parse_or_fail_cleanly():
+    depth = 100_000
+    with pytest.raises(MalformedDocumentError):
+        deserialize_tree("[" * depth + "[]" + ", []]" * depth)
+    t = deserialize_tree('"' + "(" * depth + "•" + "•)" * depth + '"')
+    assert t.size == depth
+
+
 def test_interval_round_trip_and_errors():
     x = Interval(2, 5)
     assert deserialize_interval(serialize_interval(x)) == x

@@ -27,6 +27,7 @@ from catbij import (
     left_comb,
     perp_left,
     perp_right,
+    RectangleSplit,
     recompose_rectangle,
     right_comb,
     torsion_generate,
@@ -281,3 +282,12 @@ def test_decompose_recompose_round_trip():
             k = split.skipped + split.width
             assert is_torsion_class(split.left, max(k, 1))
             assert is_torsion_class(split.right, max(n - k, 1))
+
+
+def test_recompose_rejects_a_split_that_is_no_decomposition():
+    # [1, 2] under the full-width rectangle of ambient 4 gives the column
+    # heights (2, 1, 1, 0), which no tree's shelves stack to
+    rect = frozenset(I(a, 3) for a in (1, 2, 3))
+    split = RectangleSplit(0, 3, rect, iset((1, 2)), frozenset())
+    with pytest.raises(InvariantError):
+        recompose_rectangle(split, 4)
