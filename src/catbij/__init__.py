@@ -35,6 +35,7 @@ from .core import (
     catalan,
     covered_points,
     enumerate_dyck,
+    enumerate_parens,
     enumerate_perms213,
     enumerate_trees,
     enumerate_young,

@@ -1,9 +1,11 @@
 """Command line front end.
 
 Verbs: enumerate, convert, verify, render, chains, lattice.  Enumeration
-streams one JSON document per line in canonical order.  Conversion routes
-everything through the binary tree hub.  Exit codes: 0 success, 1 usage or
-input error, 2 verification failure.
+streams one JSON document per line in canonical order, written from what the
+enumerators make (paren strings, words, rows, tuples) without building or
+revalidating an object per line.  Conversion routes everything through the
+binary tree hub.  Exit codes: 0 success, 1 usage or input error, 2
+verification failure.
 
 Documented feasibility bounds: n <= 12 for trees, paths, diagrams and
 permutations; n <= 8 for torsion and the lattice; n <= 9 for chain
@@ -13,15 +15,17 @@ counting; --n-max 2..9 for verify.
 import argparse
 import json
 import sys
+from functools import partial
+from itertools import islice
 
 from . import baseball, dyck, render, serialize, tamari, torsion, verify
 from .bookshelf import bookshelf, inverse_bookshelf
 from .core import (
     BinaryTree,
-    YoungDiagram,
     enumerate_dyck,
+    enumerate_parens,
     enumerate_perms213,
-    enumerate_trees,
+    enumerate_trees,  # not called here; bench/spans.py traces this name
     enumerate_young,
     size,
     to_paren,
@@ -61,9 +65,13 @@ def _to_tree(family: str, text: str) -> BinaryTree:
         _check_bound(family, len(p))
         return baseball.perm_to_tree(p)
     if family == "torsion":
-        tp = serialize.deserialize_torsion(text)
+        tp = _read_torsion(text)
         return torsion.torsion_to_tree(tp.torsion, tp.n)
     raise ValueError(f"unknown family {family!r}")
+
+
+def _read_torsion(text: str):
+    return serialize.deserialize_torsion(text, max_n=_MAX_N["torsion"])
 
 
 def _from_tree(family: str, t: BinaryTree, fmt: str) -> str:
@@ -95,22 +103,23 @@ def cmd_enumerate(args) -> int:
         return _die("enumerate needs --n")
     if n < 0 or n > _MAX_N[family]:
         return _die(f"n={n} out of bounds for {family} (0..{_MAX_N[family]})")
-    # each family streams in its own canonical order
+    # each family streams in its own canonical order; the enumerators make
+    # only valid objects, so their raw form is formatted as it comes
     if family == "tree":
-        for t in enumerate_trees(n):
-            print(_from_tree("tree", t, args.format))
+        objs = enumerate_parens(n)
+        fmt = str if args.format == "paren" else serialize.quoted
     elif family == "dyck":
-        for w in enumerate_dyck(n):
-            print(json.dumps(w))
+        objs, fmt = enumerate_dyck(n), serialize.quoted
     elif family == "young":
-        for rows in enumerate_young(n):
-            print(serialize.serialize_young(YoungDiagram(rows, n)))
+        objs, fmt = enumerate_young(n), partial(serialize.young_document, n)
     elif family == "perm213":
-        for p in enumerate_perms213(n):
-            print(serialize.serialize_perm(p))
+        objs, fmt = enumerate_perms213(n), serialize.int_array
     else:
-        for pair in torsion.enumerate_torsion(n):
-            print(serialize.serialize_torsion(pair))
+        objs, fmt = torsion.enumerate_torsion(n), serialize.serialize_torsion
+    # a write per line costs about as much as formatting the line
+    lines = map(fmt, objs)
+    while chunk := list(islice(lines, 4096)):
+        sys.stdout.write("\n".join(chunk) + "\n")
     return 0
 
 
@@ -148,12 +157,12 @@ def cmd_render(args) -> int:
         elif args.family == "young" and args.backend == "ascii":
             out = render.render_young_ascii(serialize.deserialize_young(text))
         elif args.family == "tree" and args.backend == "ascii":
-            out = render.render_tree_ascii(serialize.deserialize_tree(text))
+            out = render.render_tree_ascii(_to_tree("tree", text))
         elif args.family == "torsion" and args.backend == "svg":
-            tp = serialize.deserialize_torsion(text)
+            tp = _read_torsion(text)
             out = render.render_torsion_svg(tp, tp.n)
         elif args.family == "tree" and args.backend == "svg":
-            out = render.render_wire_svg(serialize.deserialize_tree(text))
+            out = render.render_wire_svg(_to_tree("tree", text))
         else:
             return _die(f"no {args.backend!r} backend for family {args.family!r}")
     except CatbijError as exc:

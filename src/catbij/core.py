@@ -105,10 +105,20 @@ def leaf_count(t: BinaryTree) -> int:
 
 
 def to_paren(t: BinaryTree) -> str:
-    """Magma notation: a bullet per leaf, (XY) per internal node."""
-    if is_leaf(t):
-        return "•"
-    return "(" + to_paren(t.left) + to_paren(t.right) + ")"
+    """Magma notation: a bullet per leaf, (XY) per internal node.
+
+    One stack pass, so a tree of any depth serializes.
+    """
+    parts = []
+    todo = [(t, 0)]  # a subtree and the number of ")" right after it
+    while todo:
+        x, closes = todo.pop()
+        while x.size:
+            parts.append("(")
+            todo.append((x.right, closes + 1))
+            x, closes = x.left, 0
+        parts.append("•" + ")" * closes)
+    return "".join(parts)
 
 
 def from_paren(text: str) -> BinaryTree:
@@ -242,6 +252,16 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def _splits(table, n: int):
+    """(left, rights) for size n, from table[m] = the objects of size m:
+    split sizes (i, n-1-i) with i ascending, then the left part varying
+    slowest.  Joining each left with each of its rights is canonical order."""
+    for i in range(n):
+        rights = table[n - 1 - i]
+        for l in table[i]:
+            yield l, rights
+
+
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple:
     """All full binary trees with n internal nodes, canonical order.
@@ -253,12 +273,24 @@ def enumerate_trees(n: int) -> tuple:
         raise InvariantError("tree size must be >= 0")
     if n == 0:
         return (LEAF,)
-    out = []
-    for i in range(n):
-        for l in enumerate_trees(i):
-            for r in enumerate_trees(n - 1 - i):
-                out.append(Node(l, r))
-    return tuple(out)
+    table = [enumerate_trees(m) for m in range(n)]
+    return tuple(Node(l, r) for l, rights in _splits(table, n) for r in rights)
+
+
+def enumerate_parens(n: int):
+    """to_paren of every tree of enumerate_trees(n), in the same order.
+
+    The strings are joined by the same split recursion, from the strings of
+    the smaller sizes, so no tree is built or walked.  The smaller sizes are
+    kept; the size-n strings are streamed.
+    """
+    if n < 0:
+        raise InvariantError("tree size must be >= 0")
+    table = [("•",)]
+    for m in range(1, n + 1):
+        joined = ("(" + l + r + ")" for l, rights in _splits(table, m) for r in rights)
+        table.append(joined if m == n else tuple(joined))
+    return iter(table[n])
 
 
 def enumerate_dyck(n: int) -> list:
@@ -279,43 +311,45 @@ def enumerate_dyck(n: int) -> list:
 
 
 def enumerate_young(n: int) -> list:
-    """All staircase partitions for ambient n, sorted lexicographically."""
+    """All staircase partitions for ambient n, in lexicographic order.
+
+    Rows are weakly decreasing with rows[i] + i + 1 <= n.  Each prefix is
+    listed before its extensions and the next row tries lengths ascending,
+    which is lexicographic order as made, with no sort.
+    """
     out = [()]
 
-    def rec(prefix, row, maxlen):
-        for l in range(1, maxlen + 1):
-            if l + row > n:
-                continue
-            cand = prefix + (l,)
-            out.append(cand)
-            rec(cand, row + 1, l)
+    def rec(prefix, i, top):
+        # prefix has i rows; the next row is at most top
+        for l in range(1, min(top, n - i - 1) + 1):
+            rows = prefix + (l,)
+            out.append(rows)
+            rec(rows, i + 1, l)
 
-    if n > 0:
-        rec((), 1, n - 1)
-    return sorted(set(out))
+    rec((), 0, n)
+    return out
 
 
 def enumerate_perms213(n: int) -> list:
     """All 213-avoiding permutations of 1..n in lexicographic order.
 
-    Generated recursively from the minimum-split structure (everything after
-    the minimum is smaller than everything before it), so no factorial-size
-    filtering is involved.
+    First-element split: a permutation that starts with k avoids 213 iff
+    every value above k comes before every value below k and both blocks
+    avoid 213.  So p = k ++ (B + k) ++ C, with B a 213-avoider of length
+    n - k and C one of length k - 1.  Taking k ascending, then B, then C,
+    each in lexicographic order, lists the permutations in lexicographic
+    order with no sort and no factorial-size filtering.
     """
-    @lru_cache(maxsize=None)
-    def gen(m):
-        if m == 0:
-            return ((),)
-        out = []
-        for lx in range(m):          # lx terms follow the minimum
-            ly = m - 1 - lx
-            for px in gen(lx):
-                left = tuple(v + 1 for v in px)
-                for py in gen(ly):
-                    out.append(tuple(v + lx + 1 for v in py) + (1,) + left)
-        return tuple(out)
-
-    return sorted(gen(n))
+    table = [[()]]  # table[m]: the 213-avoiders of length m, in order
+    for m in range(1, n + 1):
+        perms = []
+        for k in range(1, m + 1):
+            tails = table[k - 1]
+            for b in table[m - k]:
+                head = (k, *[v + k for v in b])
+                perms += [head + c for c in tails]
+        table.append(perms)
+    return table[n]
 
 
 def _is_int(v) -> bool:

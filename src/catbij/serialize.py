@@ -12,6 +12,10 @@ Schemas:
 Malformed documents raise MalformedDocumentError; documents that parse but
 break a type invariant raise InvariantError (or a subclass).  serialize and
 deserialize are mutually inverse on every valid object.
+
+quoted and int_array write what json.dumps writes on the strings and int
+sequences of valid objects, without its per-call cost; the CLI streams
+enumerations through them.
 """
 
 import json
@@ -44,10 +48,22 @@ def _load(text):
         raise MalformedDocumentError(f"not valid JSON: {exc}") from exc
 
 
+def quoted(text: str) -> str:
+    """JSON text of a string with nothing to escape, such as a paren string
+    or a Dyck word: what json.dumps(text, ensure_ascii=False) writes."""
+    return '"' + text + '"'
+
+
+def int_array(seq) -> str:
+    """JSON text of a sequence of ints (not bools): what
+    json.dumps(list(seq)) writes."""
+    return repr(list(seq))
+
+
 # -- trees ------------------------------------------------------------------
 
 def serialize_tree(t: BinaryTree) -> str:
-    return json.dumps(to_paren(t), ensure_ascii=False)
+    return quoted(to_paren(t))
 
 
 def _tree_from_lists(doc):
@@ -78,7 +94,7 @@ def deserialize_tree(text: str) -> BinaryTree:
 # -- Dyck paths -------------------------------------------------------------
 
 def serialize_dyck(p: DyckPath) -> str:
-    return json.dumps(p.steps)
+    return quoted(p.steps)
 
 
 def deserialize_dyck(text: str) -> DyckPath:
@@ -90,8 +106,14 @@ def deserialize_dyck(text: str) -> DyckPath:
 
 # -- Young diagrams ---------------------------------------------------------
 
+def young_document(n: int, rows) -> str:
+    """The young document of rows that already form a staircase partition
+    for ambient n, such as those enumerate_young makes; nothing is checked."""
+    return f'{{"n": {n}, "rows": {int_array(rows)}}}'
+
+
 def serialize_young(y: YoungDiagram) -> str:
-    return json.dumps({"n": y.n, "rows": list(y.rows)})
+    return young_document(y.n, y.rows)
 
 
 def deserialize_young(text: str) -> YoungDiagram:
@@ -154,7 +176,9 @@ def serialize_torsion(tp: TorsionPair) -> str:
     )
 
 
-def deserialize_torsion(text: str) -> TorsionPair:
+def deserialize_torsion(text: str, max_n=None) -> TorsionPair:
+    """With max_n given, a larger ambient is refused before its ball tables
+    (n**4 in size, and cached) are built."""
     doc = _load(text)
     if (
         not isinstance(doc, dict)
@@ -166,6 +190,8 @@ def deserialize_torsion(text: str) -> TorsionPair:
             f'torsion document must be {{"n", "torsion", "free"}}, got {doc!r}'
         )
     n = doc["n"]
+    if max_n is not None and n > max_n:
+        raise InvariantError(f"n={n} out of bounds for torsion (0..{max_n})")
     tors = frozenset(_interval_from(v) for v in doc["torsion"])
     free = frozenset(_interval_from(v) for v in doc["free"])
     pair = TorsionPair(tors, free, n)
@@ -183,7 +209,7 @@ def deserialize_torsion(text: str) -> TorsionPair:
 # -- permutations -----------------------------------------------------------
 
 def serialize_perm(p) -> str:
-    return json.dumps(list(p))
+    return int_array(p)
 
 
 def deserialize_perm(text: str) -> tuple:

@@ -28,6 +28,41 @@ def test_enumerate_counts(capsys):
     assert out.splitlines() == ['{"n": 0, "rows": []}']
 
 
+@pytest.mark.parametrize("family", ["tree", "dyck", "young", "perm213"])
+def test_enumerate_lines_are_the_serialized_validated_objects(capsys, family):
+    # the CLI formats what the enumerators make without building or checking
+    # an object; each line must still be the public serializer's document of
+    # the validated object, in enumeration order
+    from catbij import (
+        DyckPath,
+        YoungDiagram,
+        enumerate_dyck,
+        enumerate_perms213,
+        enumerate_trees,
+        enumerate_young,
+        is_213_avoiding,
+        to_paren,
+    )
+    from catbij.serialize import serialize_dyck, serialize_perm, serialize_tree, serialize_young
+
+    for n in range(0, 9):
+        if family == "tree":
+            want = [serialize_tree(t) for t in enumerate_trees(n)]
+        elif family == "dyck":
+            want = [serialize_dyck(DyckPath(w)) for w in enumerate_dyck(n)]
+        elif family == "young":
+            want = [serialize_young(YoungDiagram(rows, n)) for rows in enumerate_young(n)]
+        else:
+            perms = enumerate_perms213(n)
+            assert all(map(is_213_avoiding, perms))
+            want = [serialize_perm(p) for p in perms]
+        code, out, _ = run(capsys, "enumerate", family, "--n", str(n))
+        assert code == 0 and out.splitlines() == want
+        if family == "tree":
+            code, out, _ = run(capsys, "enumerate", "tree", "--n", str(n), "--format", "paren")
+            assert code == 0 and out.splitlines() == [to_paren(t) for t in enumerate_trees(n)]
+
+
 def test_enumerate_usage_errors(capsys):
     code, _, err = run(capsys, "enumerate", "widget", "--n", "2")
     assert code == 1 and "unknown family" in err
@@ -88,6 +123,37 @@ def test_convert_enforces_the_documented_bound(capsys, source, doc):
     code, out, err = run(capsys, "convert", source, "tree", "--input", doc)
     assert code == 1 and out == ""
     assert "out of bounds" in err
+
+
+def left_comb_torsion_doc(n):
+    # every ball is torsion for the left comb, and none is free
+    balls = [[a, b] for a in range(1, n) for b in range(a, n)]
+    return json.dumps({"n": n, "torsion": balls, "free": []})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["convert", "torsion", "dyck"], ["render", "torsion", "--backend", "svg"]],
+    ids=["convert", "render"],
+)
+def test_torsion_ambient_is_bounded_before_the_ball_tables(capsys, monkeypatch, argv):
+    from catbij import torsion
+
+    monkeypatch.setattr(torsion, "_engine", lambda n: pytest.fail(f"ambient-{n} tables built"))
+    code, out, err = run(capsys, *argv, "--input", left_comb_torsion_doc(60))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "out of bounds" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv, "--input", left_comb_torsion_doc(8))
+    assert code == 0
+
+
+@pytest.mark.parametrize("backend", ["ascii", "svg"])
+def test_render_tree_enforces_the_documented_bound(capsys, backend):
+    doc = json.dumps("(" * 1500 + "•" + "•)" * 1500)
+    code, out, err = run(capsys, "render", "tree", "--backend", backend, "--input", doc)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "out of bounds" in err
 
 
 def test_convert_round_trips_all_pairs(capsys):

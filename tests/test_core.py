@@ -18,6 +18,7 @@ from catbij import (
     catalan,
     covered_points,
     enumerate_dyck,
+    enumerate_parens,
     enumerate_perms213,
     enumerate_torsion,
     enumerate_trees,
@@ -89,6 +90,32 @@ def test_enumerate_trees_canonical_order():
         "((•(••))•)",
         "(((••)•)•)",
     ]
+
+
+def recursive_paren_oracle(t):
+    # the textbook definition, for trees too shallow to hit the recursion limit
+    if is_leaf(t):
+        return "•"
+    return "(" + recursive_paren_oracle(t.left) + recursive_paren_oracle(t.right) + ")"
+
+
+def test_to_paren_matches_the_recursive_definition():
+    for n in range(0, 10):
+        for t in enumerate_trees(n):
+            assert to_paren(t) == recursive_paren_oracle(t)
+
+
+def test_to_paren_has_no_depth_limit():
+    depth = 100_000
+    assert to_paren(left_comb(depth)) == "(" * depth + "•" + "•)" * depth
+    assert to_paren(right_comb(depth)) == "(•" * depth + "•" + ")" * depth
+
+
+def test_enumerate_parens_follows_enumerate_trees():
+    for n in range(0, 10):
+        assert list(enumerate_parens(n)) == [to_paren(t) for t in enumerate_trees(n)]
+    with pytest.raises(InvariantError):
+        enumerate_parens(-1)
 
 
 def test_paren_round_trip():
@@ -197,6 +224,19 @@ def test_enumerate_young_objects_valid():
             YoungDiagram(rows, n)  # validates staircase
 
 
+def test_enumerate_young_is_the_sorted_brute_force():
+    for n in range(0, 10):
+        # weakly decreasing tuples come out of combinations of the
+        # descending lengths; the staircase filter is applied afterwards
+        brute = [
+            rows
+            for k in range(n + 1)
+            for rows in itertools.combinations_with_replacement(range(n - 1, 0, -1), k)
+            if all(r + i + 1 <= n for i, r in enumerate(rows))
+        ]
+        assert enumerate_young(n) == sorted(brute)
+
+
 def test_enumerate_perms213_examples():
     per5 = enumerate_perms213(5)
     assert (5, 1, 2, 3, 4) in per5
@@ -205,7 +245,7 @@ def test_enumerate_perms213_examples():
 
 
 def test_enumerate_perms213_matches_filter_oracle():
-    for n in range(0, 8):
+    for n in range(0, 9):
         brute = sorted(
             p
             for p in itertools.permutations(range(1, n + 1))

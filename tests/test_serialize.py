@@ -1,5 +1,7 @@
 """JSON round trips and error reporting for every family."""
 
+import json
+
 import pytest
 
 from catbij import (
@@ -13,6 +15,7 @@ from catbij import (
     YoungDiagram,
     bookshelf_gapped,
     enumerate_dyck,
+    enumerate_parens,
     enumerate_perms213,
     enumerate_torsion,
     enumerate_trees,
@@ -26,6 +29,8 @@ from catbij.serialize import (
     deserialize_torsion,
     deserialize_tree,
     deserialize_young,
+    int_array,
+    quoted,
     serialize_dyck,
     serialize_gapped,
     serialize_interval,
@@ -34,6 +39,14 @@ from catbij.serialize import (
     serialize_tree,
     serialize_young,
 )
+
+
+def test_formatters_write_what_json_dumps_writes():
+    for n in range(0, 9):
+        for seq in enumerate_young(n) + enumerate_perms213(n):
+            assert int_array(seq) == json.dumps(list(seq))
+        for text in enumerate_dyck(n) + list(enumerate_parens(n)):
+            assert quoted(text) == json.dumps(text, ensure_ascii=False)
 
 
 def test_tree_round_trip_and_forms():
@@ -94,8 +107,10 @@ def test_deep_tree_documents_parse_or_fail_cleanly():
     depth = 100_000
     with pytest.raises(MalformedDocumentError):
         deserialize_tree("[" * depth + "[]" + ", []]" * depth)
-    t = deserialize_tree('"' + "(" * depth + "•" + "•)" * depth + '"')
+    doc = '"' + "(" * depth + "•" + "•)" * depth + '"'
+    t = deserialize_tree(doc)
     assert t.size == depth
+    assert serialize_tree(t) == doc
 
 
 def test_interval_round_trip_and_errors():
