@@ -33,7 +33,6 @@ from .core import (
     TreeCoordinate,
     YoungDiagram,
     catalan,
-    covered_points,
     enumerate_dyck,
     enumerate_parens,
     enumerate_perms213,
@@ -42,7 +41,6 @@ from .core import (
     from_paren,
     is_213_avoiding,
     is_leaf,
-    leaf_count,
     left_comb,
     node_coordinates,
     right_comb,

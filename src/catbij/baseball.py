@@ -4,6 +4,8 @@ With y the prefix before the smallest entry and x the suffix after it, the
 tree is Node(tree(x), tree(y)); x hangs off the left root axis, y at the far
 end of the ceiling.  Read backwards, tree_to_perm is
 perm(Node(X, Y)) = (perm(Y) + size(X) + 1) ++ (1,) ++ (perm(X) + 1).
+Unrolled, the node whose left subtree ends at leaf m has its preorder rank
+at position n - 1 - m; perm_to_tree reads the spans back through the path.
 
 The paper's construction, the wire diagram, is kept as trace_wires, and
 verify checks tree_to_perm against it.  A ball over a descending edge is a
@@ -15,16 +17,15 @@ bottom, are the permutation.
 """
 
 from .core import (
-    LEAF,
     BinaryTree,
     InvariantError,
-    Node,
     NotAPermutationError,
     is_213_avoiding,
-    is_leaf,
     is_permutation,
+    node_spans,
     size,
 )
+from .dyck import _from_ends, dyck_to_tree
 from .torsion import all_balls, tree_to_torsion
 
 
@@ -41,18 +42,14 @@ def classify_balls(t: BinaryTree) -> dict:
 
 def tree_to_perm(t: BinaryTree) -> tuple:
     """The 213-avoiding permutation of t, by the minimum split."""
-    perm = _min_split(t)
+    n = size(t)
+    perm = [0] * n
+    for rank, (_, m, _) in enumerate(node_spans(t), 1):
+        perm[n - 1 - m] = rank
+    perm = tuple(perm)
     if not is_213_avoiding(perm):
         raise InvariantError(f"the minimum split produced a 213 pattern: {perm}")
     return perm
-
-
-def _min_split(t):
-    if is_leaf(t):
-        return ()
-    low = t.left.size + 1
-    right, left = _min_split(t.right), _min_split(t.left)
-    return tuple(v + low for v in right) + (1,) + tuple(v + 1 for v in left)
 
 
 def trace_wires(t: BinaryTree) -> tuple:
@@ -89,19 +86,23 @@ def trace_wires(t: BinaryTree) -> tuple:
 
 
 def perm_to_tree(p) -> BinaryTree:
+    """Inverse of tree_to_perm.  Read backwards, entry k of p is the node
+    whose left subtree ends at leaf k, and its span ends at leaf l, the index
+    of the next smaller entry (n if none); those ends give the Dyck path."""
     p = tuple(p)
     if not is_permutation(p):
         raise NotAPermutationError(f"{p!r} is not a permutation of 1..{len(p)}")
     if not is_213_avoiding(p):
         raise InvariantError(f"{p!r} contains a 213 pattern")
-    return _build(p)
-
-
-def _build(p):
-    if not p:
-        return LEAF
-    m = p.index(min(p))
-    return Node(_build(p[m + 1 :]), _build(p[:m]))
+    ends = [0] * (len(p) + 1)
+    waiting = []  # entries still looking for a later, smaller one; increasing
+    for k, v in enumerate(reversed(p)):
+        while waiting and waiting[-1] > v:
+            waiting.pop()
+            ends[k] += 1
+        waiting.append(v)
+    ends[-1] += len(waiting)
+    return dyck_to_tree(_from_ends(ends))
 
 
 def torsion_to_perm(objs, n: int) -> tuple:

@@ -29,7 +29,7 @@ from .core import (
     InvariantError,
     TreeCoordinate,
     YoungDiagram,
-    leaf_spans,
+    node_spans,
     size,
 )
 from .dyck import _columns_to_dyck, dyck_to_tree, dyck_to_young, tree_to_dyck, young_to_dyck
@@ -58,10 +58,10 @@ class Shelf:
 def shelves(t: BinaryTree) -> list:
     """All shelves of t, top to bottom.  At most one shelf per row."""
     n = size(t)
-    out = [
-        Shelf(TreeCoordinate(n - j, i), TreeCoordinate(n - j, j))
-        for (i, j, kind) in leaf_spans(t)
-        if kind == "left"
+    out = [  # an internal left child spanning i..m
+        Shelf(TreeCoordinate(n - m, i), TreeCoordinate(n - m, m))
+        for i, m, _ in node_spans(t)
+        if m > i
     ]
     return sorted(out, key=lambda s: s.row)
 

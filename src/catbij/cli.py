@@ -42,36 +42,33 @@ def _die(msg, code=1):
     return code
 
 
-def _check_bound(family: str, n: int):
-    if n > _MAX_N[family]:
-        raise InvariantError(f"n={n} out of bounds for {family} (0..{_MAX_N[family]})")
+def _read(family: str, text: str):
+    """Deserialize a document of family and enforce its documented bound."""
+    if family == "torsion":  # refused before the ball tables of n are built
+        return serialize.deserialize_torsion(text, max_n=_MAX_N["torsion"])
+    read, n_of = {
+        "tree": (serialize.deserialize_tree, size),
+        "dyck": (serialize.deserialize_dyck, lambda p: p.semilength),
+        "young": (serialize.deserialize_young, lambda y: y.n),
+        "perm213": (serialize.deserialize_perm, len),
+    }[family]
+    obj = read(text)
+    if n_of(obj) > _MAX_N[family]:
+        raise InvariantError(f"n={n_of(obj)} out of bounds for {family} (0..{_MAX_N[family]})")
+    return obj
 
 
 def _to_tree(family: str, text: str) -> BinaryTree:
+    obj = _read(family, text)
     if family == "tree":
-        t = serialize.deserialize_tree(text)
-        _check_bound(family, size(t))
-        return t
+        return obj
     if family == "dyck":
-        p = serialize.deserialize_dyck(text)
-        _check_bound(family, p.semilength)
-        return dyck.dyck_to_tree(p)
+        return dyck.dyck_to_tree(obj)
     if family == "young":
-        y = serialize.deserialize_young(text)
-        _check_bound(family, y.n)
-        return inverse_bookshelf(y, y.n)
+        return inverse_bookshelf(obj, obj.n)
     if family == "perm213":
-        p = serialize.deserialize_perm(text)
-        _check_bound(family, len(p))
-        return baseball.perm_to_tree(p)
-    if family == "torsion":
-        tp = _read_torsion(text)
-        return torsion.torsion_to_tree(tp.torsion, tp.n)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _read_torsion(text: str):
-    return serialize.deserialize_torsion(text, max_n=_MAX_N["torsion"])
+        return baseball.perm_to_tree(obj)
+    return torsion.torsion_to_tree(obj.torsion, obj.n)
 
 
 def _from_tree(family: str, t: BinaryTree, fmt: str) -> str:
@@ -155,14 +152,14 @@ def cmd_render(args) -> int:
             p = tamari.build_lattice(args.n)
             out = render.render_lattice_dot(p)
         elif args.family == "young" and args.backend == "ascii":
-            out = render.render_young_ascii(serialize.deserialize_young(text))
+            out = render.render_young_ascii(_read("young", text))
         elif args.family == "tree" and args.backend == "ascii":
-            out = render.render_tree_ascii(_to_tree("tree", text))
+            out = render.render_tree_ascii(_read("tree", text))
         elif args.family == "torsion" and args.backend == "svg":
-            tp = _read_torsion(text)
+            tp = _read("torsion", text)
             out = render.render_torsion_svg(tp, tp.n)
         elif args.family == "tree" and args.backend == "svg":
-            out = render.render_wire_svg(_to_tree("tree", text))
+            out = render.render_wire_svg(_read("tree", text))
         else:
             return _die(f"no {args.backend!r} backend for family {args.family!r}")
     except CatbijError as exc:

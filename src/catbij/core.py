@@ -10,6 +10,7 @@ with every edge stretched so that all leaves sit on the bottom level.  In that
 drawing an internal node whose subtree spans leaves i..j (0-indexed, left to
 right) of a size-n tree sits at coordinate (n - j, i), where the first entry
 counts steps along the left root axis and the second along the right.
+Every bijection out of a tree reads its family off one walk, node_spans.
 
 Trees are immutable and share subtrees freely.  A Node stores its size when
 it is built, so size() is O(1), and caches its hash the first time it is
@@ -100,10 +101,6 @@ def size(t: BinaryTree) -> int:
     return t.size
 
 
-def leaf_count(t: BinaryTree) -> int:
-    return size(t) + 1
-
-
 def to_paren(t: BinaryTree) -> str:
     """Magma notation: a bullet per leaf, (XY) per internal node.
 
@@ -166,25 +163,21 @@ def right_comb(n: int) -> BinaryTree:
     return t
 
 
-def leaf_spans(t: BinaryTree):
-    """(first leaf, last leaf, kind) for every internal node of t.
-
-    kind is 'root', 'left' or 'right' according to how the node hangs off its
-    parent.  Leaves are numbered 0..size(t) left to right.  The spans drive
-    shelves, torsion balls and ball classification alike.
+def node_spans(t: BinaryTree) -> list:
+    """(i, m, j) for every internal node of t, in preorder: the node spans
+    leaves i..j (numbered 0..size(t) left to right) and its children span
+    i..m and m+1..j.  One explicit-stack pass, so any depth is walked.
     """
     out = []
-
-    def go(node, i, kind):
-        left, right = node.left, node.right
-        if left.size:
-            go(left, i, "left")
-        if right.size:
-            go(right, i + left.size + 1, "right")
-        out.append((i, i + node.size, kind))
-
-    if t.size:
-        go(t, 0, "root")
+    todo = [(t, 0)]  # a subtree and its first leaf
+    while todo:
+        x, i = todo.pop()
+        while x.size:
+            m = i + x.left.size
+            out.append((i, m, i + x.size))
+            if x.right.size:
+                todo.append((x.right, m + 1))
+            x = x.left
     return out
 
 
@@ -197,34 +190,16 @@ def node_coordinates(t: BinaryTree) -> dict:
     that every leaf lands on level n + 1 (level of (x, y) is x + y + 1).
     """
     n = size(t)
+    paths = {(0, n): ""}  # a span not yet placed, and its node's path
     coords = {}
-
-    def go(node, path, i):
-        if is_leaf(node):
-            coords[path] = TreeCoordinate(n - i, i)
-            return i
-        m = go(node.left, path + "L", i)
-        j = go(node.right, path + "R", m + 1)
+    for i, m, j in node_spans(t):
+        path = paths.pop((i, j))
         coords[path] = TreeCoordinate(n - j, i)
-        return j
-
-    go(t, "", 0)
+        paths[i, m] = path + "L"
+        paths[m + 1, j] = path + "R"
+    for (i, _), path in paths.items():  # the leaves are left, spanning i..i
+        coords[path] = TreeCoordinate(n - i, i)
     return coords
-
-
-def covered_points(t: BinaryTree):
-    """All lattice points the stretched drawing passes through."""
-    coords = node_coordinates(t)
-    pts = set()
-    for path, c in coords.items():
-        pts.add((c.x, c.y))
-        if path:
-            p = coords[path[:-1]]
-            if path[-1] == "L":
-                pts.update((x, p.y) for x in range(p.x, c.x + 1))
-            else:
-                pts.update((p.x, y) for y in range(p.y, c.y + 1))
-    return pts
 
 
 @dataclass(frozen=True, order=True)

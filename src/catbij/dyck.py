@@ -4,7 +4,9 @@ tree <-> path: label internal nodes L and leaves D, read the stretched
 drawing right to left jumping to the top of each descending segment, and draw
 the path backwards from (n, n).  Algebraically that reading collapses to a
 postfix code: a leaf contributes U, an internal node contributes its children's
-codes followed by R, and the path is the code minus its leading U.
+codes followed by R, and the path is the code minus its leading U: leaf k
+is followed by one R per node whose span ends there.  dyck_to_tree is the
+one builder of trees from another family; every inverse goes through it.
 
 path <-> staircase partition: fill the part of the n x n square above the
 path; column x of the square gets n - h cells where h is the height of the
@@ -18,28 +20,20 @@ from .core import (
     InvariantError,
     Node,
     YoungDiagram,
-    is_leaf,
+    node_spans,
 )
 
 
-def _postfix(t: BinaryTree) -> str:
-    out = []
-    stack = [(t, False)]
-    while stack:
-        node, done = stack.pop()
-        if is_leaf(node):
-            out.append("U")
-        elif done:
-            out.append("R")
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return "".join(out)
+def _from_ends(ends) -> DyckPath:
+    """The path whose postfix code has ends[k] R's after the U of leaf k."""
+    return DyckPath("".join(["U" + "R" * e for e in ends])[1:])
 
 
 def tree_to_dyck(t: BinaryTree) -> DyckPath:
-    return DyckPath(_postfix(t)[1:])
+    ends = [0] * (t.size + 1)
+    for _, _, j in node_spans(t):
+        ends[j] += 1
+    return _from_ends(ends)
 
 
 def dyck_to_tree(p: DyckPath) -> BinaryTree:

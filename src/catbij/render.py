@@ -8,6 +8,7 @@ Output is byte-identical across runs for identical input.
 from .baseball import BASEBALL, classify_balls, tree_to_perm
 from .core import (
     BinaryTree,
+    Interval,
     TorsionPair,
     YoungDiagram,
     node_coordinates,
@@ -78,8 +79,6 @@ def render_torsion_svg(pair: TorsionPair, n: int) -> str:
     for a in range(1, n):
         for b in range(a, n):
             x, y = _ball_center(a, b, n, scale, pad)
-            from .core import Interval
-
             ball = Interval(a, b)
             if ball in pair.torsion:
                 fill = BLUE
@@ -126,8 +125,7 @@ def render_wire_svg(t: BinaryTree) -> str:
     if n >= 2:
         kinds = classify_balls(t)
         for ball, kind in sorted(kinds.items()):
-            bx = (ball.a + ball.b) * scale + pad
-            by = (n - 1 - (ball.b - ball.a)) * scale + pad
+            bx, by = _ball_center(ball.a, ball.b, n, scale, pad)
             body.append(
                 f'<circle cx="{bx}" cy="{by}" r="{r}" fill="white" '
                 'stroke="black" stroke-width="1"/>'

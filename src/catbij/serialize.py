@@ -4,8 +4,6 @@ Schemas:
     tree            "(•(••))" paren string, or nested pair arrays with [] for a leaf
     dyck            "UURR..." step string
     young           {"n": int, "rows": [int, ...]}
-    gapped          {"n": int, "boxes": [[row, col], ...]}
-    interval        [a, b]
     torsion pair    {"n": int, "torsion": [[a, b], ...], "free": [[a, b], ...]}
     permutation     [int, ...]
 
@@ -24,7 +22,6 @@ from .core import (
     LEAF,
     BinaryTree,
     DyckPath,
-    GappedYoungDiagram,
     Interval,
     InvariantError,
     Node,
@@ -128,42 +125,12 @@ def deserialize_young(text: str) -> YoungDiagram:
     return YoungDiagram(tuple(doc["rows"]), doc["n"])
 
 
-# -- gapped Young diagrams --------------------------------------------------
-
-def serialize_gapped(g: GappedYoungDiagram) -> str:
-    return json.dumps({"n": g.n, "boxes": sorted(list(b) for b in g.boxes)})
-
-
-def deserialize_gapped(text: str) -> GappedYoungDiagram:
-    doc = _load(text)
-    if (
-        not isinstance(doc, dict)
-        or not _is_int(doc.get("n"))
-        or not isinstance(doc.get("boxes"), list)
-    ):
-        raise MalformedDocumentError(f'gapped document must be {{"n", "boxes"}}, got {doc!r}')
-    boxes = set()
-    for cell in doc["boxes"]:
-        if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))):
-            raise MalformedDocumentError(f"bad cell {cell!r}; expected [row, col]")
-        boxes.add((cell[0], cell[1]))
-    return GappedYoungDiagram(frozenset(boxes), doc["n"])
-
-
-# -- intervals and torsion pairs --------------------------------------------
-
-def serialize_interval(x: Interval) -> str:
-    return json.dumps([x.a, x.b])
-
+# -- torsion pairs ----------------------------------------------------------
 
 def _interval_from(doc):
     if not (isinstance(doc, list) and len(doc) == 2 and all(map(_is_int, doc))):
         raise MalformedDocumentError(f"bad interval {doc!r}; expected [a, b]")
     return Interval(doc[0], doc[1])
-
-
-def deserialize_interval(text: str) -> Interval:
-    return _interval_from(_load(text))
 
 
 def serialize_torsion(tp: TorsionPair) -> str:

@@ -9,12 +9,13 @@ tests calibrate it against the five worked Hom examples.
 For a tree, the balls sitting on descending edges form the torsion class and
 the balls on ascending edges the torsion-free class: a left child spanning
 leaves i..j contributes torsion balls [i+1, j] .. [j, j], a right child
-spanning i..j contributes free balls [i, i] .. [i, j-1].  Balls over neither
-edge kind belong to neither class.  Back from a class, the lowest member
-[a, b] of ball column a gives tilted column a - 1 the height n - b.  Those
-heights are the tree's column_profile: torsion_to_tree rebuilds the tree from
-them through the Dyck path, and the gapped frame and the rectangle
-decomposition are read off them.
+spanning i..j contributes free balls [i, i] .. [i, j-1], with the
+children's spans read off node_spans.  Balls over neither edge kind belong
+to neither class.  Back from a class, the lowest member [a, b] of ball
+column a gives tilted column a - 1 the height n - b.  Those heights are the
+tree's column_profile: torsion_to_tree rebuilds the tree from them through
+the Dyck path, and the gapped frame and the rectangle decomposition are read
+off them.
 
 Seed sweeps run over every subset of the triangle (2^15 subsets at n = 6), so
 the generation and closure cores work on bitmasks with per-ambient cached
@@ -32,7 +33,7 @@ from .core import (
     Interval,
     InvariantError,
     TorsionPair,
-    leaf_spans,
+    node_spans,
     size,
 )
 
@@ -186,12 +187,11 @@ def tree_to_torsion(t: BinaryTree) -> TorsionPair:
         raise InvariantError("torsion pairs need a tree of size >= 1")
     balls, row, *_ = _engine(n)
     tors = free = 0
-    for (i, j, kind) in leaf_spans(t):
-        if kind == "left":
-            for a in range(i + 1, j + 1):
-                tors |= 1 << (row[a] + j)
-        elif kind == "right":  # [i, i] .. [i, j-1] are consecutive bits
-            free |= ((1 << (j - i)) - 1) << (row[i] + i)
+    for i, m, j in node_spans(t):
+        for a in range(i + 1, m + 1):  # the left child spans i..m
+            tors |= 1 << (row[a] + m)
+        if j > m + 1:  # the right child spans m+1..j; row[n] does not exist
+            free |= ((1 << (j - m - 1)) - 1) << (row[m + 1] + m + 1)  # consecutive bits
     return TorsionPair(_to_set(tors, balls), _to_set(free, balls), n)
 
 
@@ -204,16 +204,21 @@ def _heights(objs, n: int) -> list:
     return heights
 
 
+def _class_heights(objs, n: int) -> list:
+    """_heights of a torsion class; InvariantError for any other set."""
+    objs = frozenset(objs)
+    if not is_torsion_class(objs, n):
+        raise InvariantError("input set is not a torsion class")
+    return _heights(objs, n)
+
+
 def torsion_to_tree(objs, n: int) -> BinaryTree:
     """The unique size-n tree whose descending edges carry exactly objs.
 
     The class's column heights are the tree's column_profile, and the tree
     is rebuilt from them through the Dyck path.
     """
-    objs = frozenset(objs)
-    if not is_torsion_class(objs, n):
-        raise InvariantError("input set is not a torsion class")
-    return tree_from_profile(_heights(objs, n))
+    return tree_from_profile(_class_heights(objs, n))
 
 
 def enumerate_torsion(n: int) -> list:
@@ -228,10 +233,7 @@ def enumerate_torsion(n: int) -> list:
 def torsion_to_gapped_young(objs, n: int) -> GappedYoungDiagram:
     """Boxes on the lowest member of each ascending column and every ball
     above it; ball [a, b] occupies the tilted cell (n - b, a - 1)."""
-    objs = frozenset(objs)
-    if not is_torsion_class(objs, n):
-        raise InvariantError("input set is not a torsion class")
-    return _gapped_from_heights(_heights(objs, n), n)
+    return _gapped_from_heights(_class_heights(objs, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +261,9 @@ def decompose_rectangle(objs, n: int) -> RectangleSplit:
     """Split a torsion class around the largest apex rectangle whose bottom
     corner is a member simple ball."""
     objs = frozenset(objs)
-    if not is_torsion_class(objs, n):
-        raise InvariantError("input set is not a torsion class")
+    heights = _class_heights(objs, n)
     if not objs:
         return RectangleSplit(0, 0, frozenset(), frozenset(), frozenset())
-    heights = _heights(objs, n)
     s = next(c for c, h in enumerate(heights) if h)
     fits = [
         k

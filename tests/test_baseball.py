@@ -123,17 +123,34 @@ def test_round_trip_and_avoidance():
             assert tree_to_perm(perm_to_tree(p)) == p
 
 
+def min_split_oracle(t):
+    # perm(Node(X, Y)) = (perm(Y) + size(X) + 1) ++ (1,) ++ (perm(X) + 1)
+    if size(t) == 0:
+        return ()
+    px = tuple(v + 1 for v in min_split_oracle(t.left))
+    py = tuple(v + size(t.left) + 1 for v in min_split_oracle(t.right))
+    return py + (1,) + px
+
+
 def test_block_structure():
     # values above the minimum split around it by subtree, recursively
-    for n in range(1, 8):
+    for n in range(0, 10):
         for t in enumerate_trees(n):
-            if size(t) == 0:
-                continue
-            x, y = t.left, t.right
-            sx = size(x)
-            px = tuple(v + 1 for v in tree_to_perm(x))
-            py = tuple(v + sx + 1 for v in tree_to_perm(y))
-            assert tree_to_perm(t) == py + (1,) + px
+            p = min_split_oracle(t)
+            assert tree_to_perm(t) == p
+            assert perm_to_tree(p) == t
+
+
+def test_perm_bijection_has_no_depth_limit():
+    from catbij import left_comb, right_comb, to_paren
+
+    depth = 2_000  # is_213_avoiding is quadratic in the length
+    identity, reverse = tuple(range(1, depth + 1)), tuple(range(depth, 0, -1))
+    assert tree_to_perm(left_comb(depth)) == identity
+    assert tree_to_perm(right_comb(depth)) == reverse
+    # compared as paren strings: Node equality recurses
+    assert to_paren(perm_to_tree(identity)) == to_paren(left_comb(depth))
+    assert to_paren(perm_to_tree(reverse)) == to_paren(right_comb(depth))
 
 
 def test_perm_to_tree_errors():

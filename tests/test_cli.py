@@ -246,6 +246,15 @@ def test_render_young_ascii(capsys):
     assert out == "□□\n□\n"
 
 
+def test_render_young_enforces_the_documented_bound(capsys):
+    code, out, err = run(capsys, "render", "young", "--input", '{"n": 13, "rows": [3]}')
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "out of bounds" in err
+    code, out, _ = run(capsys, "render", "young", "--input", '{"n": 12, "rows": [11, 3]}')
+    assert code == 0
+    assert out == "□" * 11 + "\n□□□\n"
+
+
 def test_render_lattice_dot(capsys, tmp_path):
     target = tmp_path / "t4.dot"
     code, out, _ = run(

@@ -16,7 +16,6 @@ from catbij import (
     TreeCoordinate,
     YoungDiagram,
     catalan,
-    covered_points,
     enumerate_dyck,
     enumerate_parens,
     enumerate_perms213,
@@ -26,13 +25,13 @@ from catbij import (
     from_paren,
     is_213_avoiding,
     is_leaf,
-    leaf_count,
     left_comb,
     node_coordinates,
     right_comb,
     size,
     to_paren,
 )
+from catbij.core import node_spans
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -77,7 +76,7 @@ def test_enumerate_trees_counts_and_uniqueness():
     for n in range(0, 9):
         ts = enumerate_trees(n)
         assert len(ts) == CATALAN[n] == len(set(ts))
-        assert all(size(t) == n and leaf_count(t) == n + 1 for t in ts)
+        assert all(size(t) == n for t in ts)
 
 
 def test_enumerate_trees_canonical_order():
@@ -174,7 +173,14 @@ def test_node_coordinates_worked_four_leaf_tree():
     assert coords["RRL"] == TreeCoordinate(1, 2)
     assert coords["RRR"] == TreeCoordinate(0, 3)
     # the drawing passes exactly through the ten labeled lattice points
-    assert covered_points(t) == {
+    covered = set()
+    for path, c in coords.items():
+        p = coords[path[:-1]] if path else c
+        if path.endswith("L"):  # a left edge runs down the first coordinate
+            covered.update((x, c.y) for x in range(p.x, c.x + 1))
+        else:
+            covered.update((c.x, y) for y in range(p.y, c.y + 1))
+    assert covered == {
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
         (3, 0), (2, 1), (1, 2), (0, 3),
     }
@@ -185,6 +191,57 @@ def test_node_coordinates_left_comb():
     assert coords["LLL"] == TreeCoordinate(3, 0)  # leftmost leaf
     assert coords["L"] == TreeCoordinate(1, 0)
     assert coords["LL"] == TreeCoordinate(2, 0)
+
+
+def recursive_spans_oracle(t, i=0):
+    # (i, m, j) per internal node in preorder, by the textbook recursion
+    if is_leaf(t):
+        return []
+    m = i + size(t.left)
+    return (
+        [(i, m, i + size(t))]
+        + recursive_spans_oracle(t.left, i)
+        + recursive_spans_oracle(t.right, m + 1)
+    )
+
+
+def recursive_coordinates_oracle(t):
+    # the recursive walk node_coordinates was first written as
+    n = size(t)
+    coords = {}
+
+    def go(node, path, i):
+        if is_leaf(node):
+            coords[path] = TreeCoordinate(n - i, i)
+            return i
+        m = go(node.left, path + "L", i)
+        j = go(node.right, path + "R", m + 1)
+        coords[path] = TreeCoordinate(n - j, i)
+        return j
+
+    go(t, "", 0)
+    return coords
+
+
+def test_node_spans_and_coordinates_match_the_recursive_walks():
+    for n in range(0, 10):
+        for t in enumerate_trees(n):
+            assert node_spans(t) == recursive_spans_oracle(t)
+            if n <= 8:
+                assert node_coordinates(t) == recursive_coordinates_oracle(t)
+
+
+def test_tree_walks_have_no_depth_limit():
+    depth = 100_000
+    assert node_spans(left_comb(depth)) == [(0, depth - 1 - k, depth - k) for k in range(depth)]
+    assert node_spans(right_comb(depth)) == [(k, k, depth) for k in range(depth)]
+    depth = 3_000  # the paths make node_coordinates quadratic in the depth
+    coords = node_coordinates(left_comb(depth))
+    assert len(coords) == 2 * depth + 1
+    assert coords["L" * depth] == TreeCoordinate(depth, 0)
+    for k in (0, 1, depth - 1):
+        assert coords["L" * k] == TreeCoordinate(k, 0)
+        assert coords["L" * k + "R"] == TreeCoordinate(k, depth - k)
 
 
 def test_coordinate_level_and_bounds():

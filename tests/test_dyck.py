@@ -94,6 +94,9 @@ def test_extreme_paths():
         assert alt.rows == tuple(range(n - 1, 0, -1))
         # the all-ups-first path carves out nothing
         assert dyck_to_young(DyckPath("U" * n + "R" * n)).rows == ()
+    depth = 100_000  # and a comb of any depth converts
+    assert tree_to_dyck(right_comb(depth)).steps == "U" * depth + "R" * depth
+    assert tree_to_dyck(left_comb(depth)).steps == "UR" * depth
 
 
 def test_semilength_matches_size():

@@ -6,14 +6,12 @@ import pytest
 
 from catbij import (
     DyckPath,
-    Interval,
     InvariantError,
     LEAF,
     MalformedDocumentError,
     Node,
     NotAPermutationError,
     YoungDiagram,
-    bookshelf_gapped,
     enumerate_dyck,
     enumerate_parens,
     enumerate_perms213,
@@ -23,8 +21,6 @@ from catbij import (
 )
 from catbij.serialize import (
     deserialize_dyck,
-    deserialize_gapped,
-    deserialize_interval,
     deserialize_perm,
     deserialize_torsion,
     deserialize_tree,
@@ -32,8 +28,6 @@ from catbij.serialize import (
     int_array,
     quoted,
     serialize_dyck,
-    serialize_gapped,
-    serialize_interval,
     serialize_perm,
     serialize_torsion,
     serialize_tree,
@@ -70,9 +64,6 @@ def test_round_trips_exhaustive():
             assert deserialize_young(serialize_young(y)) == y
         for p in enumerate_perms213(n):
             assert deserialize_perm(serialize_perm(p)) == p
-        for t in enumerate_trees(n):
-            g = bookshelf_gapped(t)
-            assert deserialize_gapped(serialize_gapped(g)) == g
     for n in range(1, 7):
         for pair in enumerate_torsion(n):
             assert deserialize_torsion(serialize_torsion(pair)) == pair
@@ -113,15 +104,6 @@ def test_deep_tree_documents_parse_or_fail_cleanly():
     assert serialize_tree(t) == doc
 
 
-def test_interval_round_trip_and_errors():
-    x = Interval(2, 5)
-    assert deserialize_interval(serialize_interval(x)) == x
-    with pytest.raises(MalformedDocumentError):
-        deserialize_interval("[1]")
-    with pytest.raises(InvariantError):
-        deserialize_interval("[5, 2]")
-
-
 def test_perm_errors():
     with pytest.raises(NotAPermutationError):
         deserialize_perm("[1, 1]")
@@ -139,6 +121,10 @@ def test_torsion_document_must_be_a_real_pair():
         deserialize_torsion('{"n": 4, "torsion": [[1, 2]], "free": [[1, 1], [3, 3]]}')
     with pytest.raises(MalformedDocumentError):
         deserialize_torsion('{"n": 4, "torsion": [[1, 2]]}')
+    with pytest.raises(MalformedDocumentError, match="bad interval"):
+        deserialize_torsion('{"n": 4, "torsion": [[1]], "free": []}')
+    with pytest.raises(InvariantError, match="bad interval"):
+        deserialize_torsion('{"n": 6, "torsion": [[5, 2]], "free": []}')
 
 
 def test_short_torsion_document_builds_no_engine(monkeypatch):
@@ -154,23 +140,15 @@ def test_short_torsion_document_builds_no_engine(monkeypatch):
         deserialize_torsion('{"n": 40, "torsion": [[1, 1]], "free": [[2, 39]]}')
 
 
-def test_gapped_errors():
-    with pytest.raises(MalformedDocumentError):
-        deserialize_gapped('{"n": 4, "boxes": [[1]]}')
-    with pytest.raises(InvariantError):
-        deserialize_gapped('{"n": 4, "boxes": [[3, 3]]}')  # outside the triangle
-
-
 @pytest.mark.parametrize(
     "deserialize, text",
     [
         (deserialize_young, '{"n": 3, "rows": [true]}'),
-        (deserialize_gapped, '{"n": 3, "boxes": [[true, 0]]}'),
-        (deserialize_interval, "[true, true]"),
+        (deserialize_torsion, '{"n": 2, "torsion": [], "free": [[true, true]]}'),
         (deserialize_torsion, '{"n": 2, "torsion": [[true, 1]], "free": []}'),
         (deserialize_perm, "[true]"),
     ],
-    ids=["young", "gapped", "interval", "torsion", "perm"],
+    ids=["young", "interval", "torsion", "perm"],
 )
 def test_json_booleans_are_not_integers(deserialize, text):
     # each document is valid with 1 in place of true
