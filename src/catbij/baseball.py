@@ -19,9 +19,7 @@ bottom, are the permutation.
 from .core import (
     BinaryTree,
     InvariantError,
-    NotAPermutationError,
     is_213_avoiding,
-    is_permutation,
     node_spans,
     size,
 )
@@ -90,8 +88,6 @@ def perm_to_tree(p) -> BinaryTree:
     whose left subtree ends at leaf k, and its span ends at leaf l, the index
     of the next smaller entry (n if none); those ends give the Dyck path."""
     p = tuple(p)
-    if not is_permutation(p):
-        raise NotAPermutationError(f"{p!r} is not a permutation of 1..{len(p)}")
     if not is_213_avoiding(p):
         raise InvariantError(f"{p!r} contains a 213 pattern")
     ends = [0] * (len(p) + 1)

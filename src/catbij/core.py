@@ -41,9 +41,9 @@ class Node:
     """An internal node.  Immutable; its size is stored at construction and
     its hash is computed on first use and then kept.
 
-    Hashing is lazy because most trees are never hashed (enumeration, the
-    bijections), while the Tamari layer hashes the same shared subtrees over
-    and over.  Equality is structural.
+    Equality is structural; it and the hash read node_spans, a loop, so any
+    depth works.  Hashing is lazy because most trees are never hashed
+    (enumeration, the bijections), while the lattice hashes its trees often.
     """
 
     __slots__ = ("left", "right", "size", "_hash")
@@ -68,13 +68,13 @@ class Node:
             return True
         if other.__class__ is not Node:
             return NotImplemented
-        return self.size == other.size and (self.left, self.right) == (other.left, other.right)
+        return self.size == other.size and node_spans(self) == node_spans(other)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.left, self.right))
+            h = hash(tuple(node_spans(self)))
             _set_hash(self, h)
             return h
 
@@ -337,7 +337,8 @@ def is_permutation(p: Sequence[int]) -> bool:
 
 
 def is_213_avoiding(p: Sequence[int]) -> bool:
-    """True iff no i < j < k has p[j] < p[i] < p[k].
+    """True iff no i < j < k has p[j] < p[i] < p[k]; raises
+    NotAPermutationError when p is not a permutation of 1..len(p).
 
     Quadratic scan over (i, j) descents with a suffix maximum standing in for
     the k; proven equivalent to the cubic definition by exhaustive test for

@@ -6,7 +6,7 @@ the path backwards from (n, n).  Algebraically that reading collapses to a
 postfix code: a leaf contributes U, an internal node contributes its children's
 codes followed by R, and the path is the code minus its leading U: leaf k
 is followed by one R per node whose span ends there.  dyck_to_tree is the
-one builder of trees from another family; every inverse goes through it.
+one builder of trees from other objects (every inverse, every Tamari cover).
 
 path <-> staircase partition: fill the part of the n x n square above the
 path; column x of the square gets n - h cells where h is the height of the
@@ -24,16 +24,21 @@ from .core import (
 )
 
 
+def _ends(spans, n: int) -> list:
+    """Per leaf 0..n of a size-n tree, the number of its node_spans ending there."""
+    ends = [0] * (n + 1)
+    for _, _, j in spans:
+        ends[j] += 1
+    return ends
+
+
 def _from_ends(ends) -> DyckPath:
     """The path whose postfix code has ends[k] R's after the U of leaf k."""
     return DyckPath("".join(["U" + "R" * e for e in ends])[1:])
 
 
 def tree_to_dyck(t: BinaryTree) -> DyckPath:
-    ends = [0] * (t.size + 1)
-    for _, _, j in node_spans(t):
-        ends[j] += 1
-    return _from_ends(ends)
+    return _from_ends(_ends(node_spans(t), t.size))
 
 
 def dyck_to_tree(p: DyckPath) -> BinaryTree:

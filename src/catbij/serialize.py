@@ -25,13 +25,11 @@ from .core import (
     Interval,
     InvariantError,
     Node,
-    NotAPermutationError,
     TorsionPair,
     YoungDiagram,
     _is_int,
     from_paren,
     is_213_avoiding,
-    is_permutation,
     to_paren,
 )
 from .errors import MalformedDocumentError
@@ -184,8 +182,6 @@ def deserialize_perm(text: str) -> tuple:
     if not (isinstance(doc, list) and all(map(_is_int, doc))):
         raise MalformedDocumentError(f"permutation document must be [int, ...], got {doc!r}")
     p = tuple(doc)
-    if not is_permutation(p):
-        raise NotAPermutationError(f"{p!r} is not a permutation of 1..{len(p)}")
     if not is_213_avoiding(p):
         raise InvariantError(f"{p!r} contains a 213 pattern")
     return p

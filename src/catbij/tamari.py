@@ -1,28 +1,40 @@
 """The Tamari lattice on size-n trees.
 
-Covering moves one step up by a single right rotation, rewriting some
-(uv)w into u(vw); the left comb sits at the bottom and the right comb at the
-top.  The order is not graded for n >= 3, so maximal chains are counted by
-path enumeration over the Hasse diagram, never by rank.
+Covering moves one step up by a single right rotation, (uv)w -> u(vw); the
+left comb is the bottom and the right comb the top.  On the Dyck path a
+rotation moves one R (Bergeron, Preville-Ratelle): at the node spanning
+leaves i..j whose left child spans i..m, m > i, the R that closes the left
+child moves from after leaf m to after leaf j (ends[m] -= 1, ends[j] += 1 in
+the counts of dyck._ends).  The order is not graded for n >= 3, so maximal
+chains are counted by path enumeration over the Hasse diagram, never by rank.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import BinaryTree, InvariantError, Node, enumerate_trees, is_leaf, size
+from .core import BinaryTree, InvariantError, enumerate_trees, node_spans, size
+from .dyck import _ends, _from_ends, dyck_to_tree
+
+
+def _rotations(t: BinaryTree):
+    """The ends of t, and the ends of each tree one right rotation above t,
+    in rotation-site order (preorder)."""
+    spans = node_spans(t)
+    ends = _ends(spans, t.size)
+    ups = []
+    for i, m, j in spans:
+        if m > i:
+            ends[m] -= 1
+            ends[j] += 1
+            ups.append(tuple(ends))
+            ends[m] += 1
+            ends[j] -= 1
+    return tuple(ends), ups
 
 
 def covers_of(t: BinaryTree) -> list:
     """Trees one right rotation above t, in rotation-site order."""
-    out = []
-    if is_leaf(t):
-        return out
-    x, y = t.left, t.right
-    if x.size:
-        out.append(Node(x.left, Node(x.right, y)))
-        out.extend(Node(c, y) for c in covers_of(x))
-    if y.size:
-        out.extend(Node(x, c) for c in covers_of(y))
-    return out
+    return [dyck_to_tree(_from_ends(e)) for e in _rotations(t)[1]]
 
 
 @dataclass(frozen=True)
@@ -56,14 +68,16 @@ def _trees(n: int) -> tuple:
 
 
 def _cover_indices(nodes):
-    """Per tree of nodes, in order, the indices in nodes of its covers.
-
-    nodes holds every tree of one size, so each cover tree is equal to one of
-    them; it is replaced by that index and dropped.
+    """Per tree of nodes = enumerate_trees(n), in order, the indices of its
+    covers.  In that order every cover of a tree comes before the tree (see
+    count_maximal_chains), so one pass keys each tree by its ends and finds
+    its covers' moved ends among those already keyed; no tree is built.
     """
-    idx = {t: i for i, t in enumerate(nodes)}
-    for t in nodes:
-        yield [idx[u] for u in covers_of(t)]
+    idx = {}
+    for k, t in enumerate(nodes):
+        ends, ups = _rotations(t)
+        yield [idx[e] for e in ups]
+        idx[ends] = k
 
 
 def build_lattice(n: int) -> TamariPoset:
@@ -74,66 +88,52 @@ def build_lattice(n: int) -> TamariPoset:
     return TamariPoset(nodes, covers)
 
 
-def _leq_matrix(p: TamariPoset):
-    idx = {t: i for i, t in enumerate(p.nodes)}
-    m = len(p.nodes)
-    up = [[] for _ in range(m)]
-    for (l, u) in p.covers:
-        up[idx[l]].append(idx[u])
-    leq = [0] * m  # bit j set in leq[i] iff nodes[i] <= nodes[j]
-    done = [False] * m
+class _Closure(NamedTuple):
+    up: list  # bit j set in up[i] iff nodes[i] <= nodes[j]
+    down: list  # bit j set in down[i] iff nodes[j] <= nodes[i]
+
+
+def _reach(nexts) -> list:
+    """Per node, the mask of the nodes reachable along nexts, itself included
+    (so a filled mask is never 0).  fill recurses as deep as the longest path."""
+    reach = [0] * len(nexts)
 
     def fill(i):
-        if done[i]:
+        if reach[i]:
             return
         mask = 1 << i
-        for j in up[i]:
+        for j in nexts[i]:
             fill(j)
-            mask |= leq[j]
-        leq[i] = mask
-        done[i] = True
+            mask |= reach[j]
+        reach[i] = mask
 
-    for i in range(m):
+    for i in range(len(nexts)):
         fill(i)
-    return idx, leq
+    return reach
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _leq_matrix(p: TamariPoset) -> _Closure:
+    idx = {t: i for i, t in enumerate(p.nodes)}
+    up = [[] for _ in p.nodes]
+    down = [[] for _ in p.nodes]
+    for (l, u) in p.covers:
+        up[idx[l]].append(idx[u])
+        down[idx[u]].append(idx[l])
+    return _Closure(_reach(up), _reach(down))
 
 
 def is_lattice(p: TamariPoset) -> bool:
-    """Every pair of nodes has a unique join and a unique meet.
+    """Every pair of nodes has a join and a meet.
 
-    The nodes are renumbered along a linear extension read off the order
-    itself: an element strictly below another has strictly more elements above
-    it.  In that numbering the least of a set of common upper bounds, if it has
-    one, is its lowest-numbered member, and the greatest of a set of common
-    lower bounds its highest-numbered one, so each bound needs one check.
+    i and j have a join k exactly when the elements above both are the
+    elements above k, and a meet k exactly when the elements below both are
+    the elements below k; so each pair is two set lookups.
     """
-    _, leq = _leq_matrix(p)
-    m = len(leq)
-    order = sorted(range(m), key=lambda i: -leq[i].bit_count())
-    pos = [0] * m
-    for k, i in enumerate(order):
-        pos[i] = k
-    up = [sum(1 << pos[j] for j in _bits(leq[i])) for i in order]
-    down = [0] * m
-    for k, mask in enumerate(up):
-        for j in _bits(mask):
-            down[j] |= 1 << k
-    for i in range(m):
-        for j in range(i + 1, m):
-            above = up[i] & up[j]
-            below = down[i] & down[j]
-            if not (above and below):
-                return False
-            if up[(above & -above).bit_length() - 1] & above != above:
-                return False
-            if down[below.bit_length() - 1] & below != below:
+    up, down = _leq_matrix(p)
+    ups, downs = set(up), set(down)
+    for i, (ui, di) in enumerate(zip(up, down)):
+        for uj, dj in zip(up[i + 1 :], down[i + 1 :]):
+            if ui & uj not in ups or di & dj not in downs:
                 return False
     return True
 

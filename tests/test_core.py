@@ -27,6 +27,7 @@ from catbij import (
     is_leaf,
     left_comb,
     node_coordinates,
+    perm_to_tree,
     right_comb,
     size,
     to_paren,
@@ -133,6 +134,13 @@ def test_hub_objects_store_size_and_hash():
             copy = from_paren(to_paren(t))
             assert copy == t and hash(copy) == hash(t)
             assert n == 0 or copy is not t
+
+
+def test_deep_trees_compare_and_hash():
+    # equality and hash read node_spans, a loop, not the nesting of children
+    assert perm_to_tree(tuple(range(1, 2001))) == left_comb(2000)
+    assert left_comb(2000) != right_comb(2000)
+    assert len({left_comb(3000), left_comb(3000)}) == 1
 
 
 def test_hub_objects_are_immutable():

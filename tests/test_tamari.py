@@ -7,6 +7,7 @@ import pytest
 
 from catbij import (
     InvariantError,
+    Node,
     TamariPoset,
     build_lattice,
     catalan,
@@ -15,8 +16,10 @@ from catbij import (
     enumerate_trees,
     from_paren,
     is_lattice,
+    is_leaf,
     left_comb,
     right_comb,
+    to_paren,
     tree_to_torsion,
     verify_order_reversing,
 )
@@ -28,6 +31,43 @@ def reorderings(nodes):
     shuffled = list(nodes)
     random.Random(len(nodes)).shuffle(shuffled)
     return [tuple(reversed(nodes)), tuple(shuffled)]
+
+
+def rotations_by_recursion(t):
+    """The right rotations of t by the recursion on (uv)w -> u(vw), at the
+    root, then in the left subtree, then in the right: the reference."""
+    if is_leaf(t):
+        return []
+    x, y = t.left, t.right
+    out = []
+    if x.size:
+        out.append(Node(x.left, Node(x.right, y)))
+        out.extend(Node(c, y) for c in rotations_by_recursion(x))
+    if y.size:
+        out.extend(Node(x, c) for c in rotations_by_recursion(y))
+    return out
+
+
+def parens(trees):
+    # compared as strings, so the check does not lean on Node equality
+    return [to_paren(t) for t in trees]
+
+
+def test_covers_of_matches_the_recursive_rotation():
+    # as lists, so the rotation-site order counts too
+    for n in range(0, 9):
+        for t in enumerate_trees(n):
+            assert parens(covers_of(t)) == parens(rotations_by_recursion(t))
+
+
+def test_build_lattice_covers_are_the_recursive_rotations():
+    for n in range(1, 8):
+        want = {
+            (to_paren(t), u)
+            for t in enumerate_trees(n)
+            for u in parens(rotations_by_recursion(t))
+        }
+        assert {(to_paren(l), to_paren(u)) for l, u in build_lattice(n).covers} == want
 
 
 def test_covers_of_top():
@@ -90,13 +130,27 @@ def test_removed_edge_breaks_lattice():
         assert not is_lattice(broken)
 
 
+def test_two_minimal_upper_bounds_break_lattice():
+    # bottom < a, b < c, d < top: bounded, but a and b lie below both c and d,
+    # two minimal common upper bounds, so they have no join
+    bot, a, b, c, d, top = enumerate_trees(4)[:6]
+    covers = frozenset(
+        {(bot, a), (bot, b), (a, c), (a, d), (b, c), (b, d), (c, top), (d, top)}
+    )
+    nodes = (bot, a, b, c, d, top)
+    for order in [nodes] + reorderings(nodes):
+        p = TamariPoset(order, covers)
+        assert p.bottom() == bot and p.top() == top
+        assert not is_lattice(p)
+
+
 def test_interval_count_matches_chapoton():
     # Chapoton (2006): the size-n Tamari lattice has 2(4n+1)!/((n+1)!(3n+2)!)
     # intervals, that is pairs t <= u
     counts = []
     for n in range(1, 7):
-        _, leq = _leq_matrix(build_lattice(n))
-        counts.append(sum(row.bit_count() for row in leq))
+        up = _leq_matrix(build_lattice(n)).up
+        counts.append(sum(row.bit_count() for row in up))
         assert counts[-1] == 2 * factorial(4 * n + 1) // (
             factorial(n + 1) * factorial(3 * n + 2)
         )
