@@ -24,7 +24,7 @@ from .core import (
     size,
 )
 from .dyck import _from_ends, dyck_to_tree
-from .torsion import all_balls, tree_to_torsion
+from .torsion import all_balls, torsion_to_tree, tree_to_torsion
 
 
 BASEBALL = "baseball"
@@ -34,7 +34,7 @@ CROSSBALL = "crossball"
 def classify_balls(t: BinaryTree) -> dict:
     """Kind of every ball of the triangle; the torsion class are the baseballs."""
     n = size(t)
-    base = tree_to_torsion(t).torsion if n else frozenset()
+    base = tree_to_torsion(t).torsion
     return {ball: BASEBALL if ball in base else CROSSBALL for ball in all_balls(n)}
 
 
@@ -53,8 +53,6 @@ def tree_to_perm(t: BinaryTree) -> tuple:
 def trace_wires(t: BinaryTree) -> tuple:
     """Trace all wires through the grid and read the left boundary."""
     n = size(t)
-    if n < 2:
-        return tuple(range(1, n + 1))  # no balls; a single wire goes straight across
     base = {(x.a, x.b) for x in tree_to_torsion(t).torsion}
     out = [0] * n
     for w in range(1, n + 1):
@@ -102,8 +100,6 @@ def perm_to_tree(p) -> BinaryTree:
 
 
 def torsion_to_perm(objs, n: int) -> tuple:
-    from .torsion import torsion_to_tree
-
     return tree_to_perm(torsion_to_tree(objs, n))
 
 

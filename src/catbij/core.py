@@ -340,22 +340,20 @@ def is_213_avoiding(p: Sequence[int]) -> bool:
     """True iff no i < j < k has p[j] < p[i] < p[k]; raises
     NotAPermutationError when p is not a permutation of 1..len(p).
 
-    Quadratic scan over (i, j) descents with a suffix maximum standing in for
-    the k; proven equivalent to the cubic definition by exhaustive test for
-    n <= 8.
+    One pass: p avoids 213 exactly when a stack fed 1..n in order can pop p
+    from last to first (Knuth, TAOCP 2.2.1: the stack outputs are the
+    312-avoiders, and reversal turns 312 into 213).
     """
     if not is_permutation(p):
         raise NotAPermutationError(f"{tuple(p)!r} is not a permutation of 1..{len(p)}")
-    p = tuple(p)
-    m = len(p)
-    suffmax = [0] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffmax[t] = max(p[t], suffmax[t + 1])
-    for j in range(m):
-        tail = suffmax[j + 1]
-        for i in range(j):
-            if p[j] < p[i] < tail:
-                return False
+    stack = []
+    fed = 0
+    for v in reversed(p):
+        while fed < v:
+            fed += 1
+            stack.append(fed)
+        if stack.pop() != v:
+            return False
     return True
 
 
@@ -515,7 +513,8 @@ class TorsionPair:
 
     The two sets are disjoint but in general do not partition the triangle:
     balls above neither edge kind of the corresponding tree belong to neither
-    class.  Mutual perpendicularity is revalidated on deserialization.
+    class.  Deserialization checks that generation from the torsion class
+    gives the pair back, so both perpendicularity clauses hold.
     """
 
     torsion: frozenset

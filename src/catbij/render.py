@@ -27,8 +27,6 @@ _CELL = "□"  # white square
 def render_tree_ascii(t: BinaryTree) -> str:
     """Stretched triangle drawing with / and \\ edges, leaves on one line."""
     n = size(t)
-    if n == 0:
-        return "•"
     width = 2 * n + 1
     grid = [[" "] * width for _ in range(n + 1)]
     coords = node_coordinates(t)
@@ -122,24 +120,22 @@ def render_wire_svg(t: BinaryTree) -> str:
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
-    if n >= 2:
-        kinds = classify_balls(t)
-        for ball, kind in sorted(kinds.items()):
-            bx, by = _ball_center(ball.a, ball.b, n, scale, pad)
+    for ball, kind in sorted(classify_balls(t).items()):
+        bx, by = _ball_center(ball.a, ball.b, n, scale, pad)
+        body.append(
+            f'<circle cx="{bx}" cy="{by}" r="{r}" fill="white" '
+            'stroke="black" stroke-width="1"/>'
+        )
+        if kind != BASEBALL:
+            d = int(r * 0.7)
             body.append(
-                f'<circle cx="{bx}" cy="{by}" r="{r}" fill="white" '
+                f'<line x1="{bx - d}" y1="{by - d}" x2="{bx + d}" y2="{by + d}" '
                 'stroke="black" stroke-width="1"/>'
             )
-            if kind != BASEBALL:
-                d = int(r * 0.7)
-                body.append(
-                    f'<line x1="{bx - d}" y1="{by - d}" x2="{bx + d}" y2="{by + d}" '
-                    'stroke="black" stroke-width="1"/>'
-                )
-                body.append(
-                    f'<line x1="{bx - d}" y1="{by + d}" x2="{bx + d}" y2="{by - d}" '
-                    'stroke="black" stroke-width="1"/>'
-                )
+            body.append(
+                f'<line x1="{bx - d}" y1="{by + d}" x2="{bx + d}" y2="{by - d}" '
+                'stroke="black" stroke-width="1"/>'
+            )
     perm = tree_to_perm(t)
     for w in range(1, n + 1):
         rx = (n + w) * scale + pad + 18

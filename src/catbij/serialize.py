@@ -9,7 +9,9 @@ Schemas:
 
 Malformed documents raise MalformedDocumentError; documents that parse but
 break a type invariant raise InvariantError (or a subclass).  serialize and
-deserialize are mutually inverse on every valid object.
+deserialize are mutually inverse on every valid object.  A torsion document
+is a pair exactly when torsion_generate gives it back from its torsion
+class; ambient 0 has the one pair with no balls.
 
 quoted and int_array write what json.dumps writes on the strings and int
 sequences of valid objects, without its per-call cost; the CLI streams
@@ -33,7 +35,7 @@ from .core import (
     to_paren,
 )
 from .errors import MalformedDocumentError
-from .torsion import perp_left, perp_right
+from .torsion import torsion_generate
 
 
 def _load(text):
@@ -165,8 +167,9 @@ def deserialize_torsion(text: str, max_n=None) -> TorsionPair:
     # short document from building the engine tables of a huge ambient.
     if len(tors) + len(free) < n - 1:
         raise InvariantError(f"document is not a torsion pair (too few balls for ambient {n})")
-    # both perpendicularity clauses must hold, not just disjointness
-    if perp_right(tors, n) != free or perp_left(free, n) != tors:
+    # a pair is what generation gives back from its torsion class: the free
+    # class is tors-perp and the torsion class is perp of that
+    if torsion_generate(tors, n) != pair:
         raise InvariantError("document is not a torsion pair (perpendicularity fails)")
     return pair
 

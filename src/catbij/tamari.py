@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .core import BinaryTree, InvariantError, enumerate_trees, node_spans, size
 from .dyck import _ends, _from_ends, dyck_to_tree
+from .torsion import tree_to_torsion
 
 
 def _rotations(t: BinaryTree):
@@ -93,33 +94,35 @@ class _Closure(NamedTuple):
     down: list  # bit j set in down[i] iff nodes[j] <= nodes[i]
 
 
-def _reach(nexts) -> list:
-    """Per node, the mask of the nodes reachable along nexts, itself included
-    (so a filled mask is never 0).  fill recurses as deep as the longest path."""
-    reach = [0] * len(nexts)
-
-    def fill(i):
-        if reach[i]:
-            return
-        mask = 1 << i
-        for j in nexts[i]:
-            fill(j)
-            mask |= reach[j]
-        reach[i] = mask
-
-    for i in range(len(nexts)):
-        fill(i)
-    return reach
-
-
 def _leq_matrix(p: TamariPoset) -> _Closure:
+    """Up- and down-sets as masks, filled along a Kahn topological order of
+    the covers; InvariantError when a cover names a non-node or the covers
+    have a cycle (a self-loop included)."""
     idx = {t: i for i, t in enumerate(p.nodes)}
-    up = [[] for _ in p.nodes]
-    down = [[] for _ in p.nodes]
+    nexts = [[] for _ in p.nodes]
+    below = [0] * len(p.nodes)  # covers into each node not yet ordered
     for (l, u) in p.covers:
-        up[idx[l]].append(idx[u])
-        down[idx[u]].append(idx[l])
-    return _Closure(_reach(up), _reach(down))
+        if l not in idx or u not in idx:
+            raise InvariantError("a cover names a tree that is not a node")
+        nexts[idx[l]].append(idx[u])
+        below[idx[u]] += 1
+    order = [i for i, k in enumerate(below) if not k]
+    for i in order:  # grows as the loop runs
+        for j in nexts[i]:
+            below[j] -= 1
+            if not below[j]:
+                order.append(j)
+    if len(order) < len(p.nodes):
+        raise InvariantError("the covers have a cycle")
+    up = [1 << i for i in range(len(p.nodes))]
+    down = up[:]
+    for i in reversed(order):
+        for j in nexts[i]:
+            up[i] |= up[j]
+    for i in order:
+        for j in nexts[i]:
+            down[j] |= down[i]
+    return _Closure(up, down)
 
 
 def is_lattice(p: TamariPoset) -> bool:
@@ -154,8 +157,6 @@ def count_maximal_chains(n: int) -> int:
 
 def verify_order_reversing(n: int) -> bool:
     """Each cover strictly shrinks the torsion class."""
-    from .torsion import tree_to_torsion
-
     nodes = enumerate_trees(n)
     tors = [tree_to_torsion(t).torsion for t in nodes]
     return all(

@@ -15,7 +15,13 @@ to neither class.  Back from a class, the lowest member [a, b] of ball
 column a gives tilted column a - 1 the height n - b.  Those heights are the
 tree's column_profile: torsion_to_tree rebuilds the tree from them through
 the Dyck path, and the gapped frame and the rectangle decomposition are read
-off them.
+off them.  Ambient 0 is ordinary: the empty tree has no balls and the empty
+pair.
+
+Two maps are the definitions the rest of the layer is checked against.  A
+pair of ball sets is a torsion pair exactly when torsion_generate gives it
+back from its torsion class, and a RectangleSplit is a decomposition exactly
+when decompose_rectangle gives it back from the class it recomposes to.
 
 Seed sweeps run over every subset of the triangle (2^15 subsets at n = 6), so
 the generation and closure cores work on bitmasks with per-ambient cached
@@ -26,13 +32,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .bookshelf import _gapped_from_heights, column_profile, tree_from_profile
+from .bookshelf import _gapped_from_heights, tree_from_profile
 from .core import (
     BinaryTree,
     GappedYoungDiagram,
     Interval,
     InvariantError,
     TorsionPair,
+    enumerate_trees,
     node_spans,
     size,
 )
@@ -75,7 +82,7 @@ def _engine(n: int):
     balls = tuple(sorted(all_balls(n)))
     m = len(balls)
     full = (1 << m) - 1
-    row = [-1] * max(n, 1)  # [1, 1] is bit 0
+    row = [-1] * n  # [1, 1] is bit 0
     for a in range(2, n):
         row[a] = row[a - 1] + n - a  # row a - 1 holds n - a + 1 balls
     hom_from = [0] * m
@@ -149,12 +156,7 @@ def _complete_mask(seed_mask, n):
     _, _, _, _, _, quot, ext = _engine(n)
     mask = seed_mask
     while True:
-        grown = mask
-        rest = mask
-        while rest:
-            low = rest & -rest
-            grown |= quot[low.bit_length() - 1]
-            rest ^= low
+        grown = _union(mask, quot)  # quot[i] holds ball i itself
         for pair, top, bottom in ext:
             if grown & pair == pair and not grown & top:
                 if bottom < 0 or grown >> bottom & 1:
@@ -183,8 +185,6 @@ def complete_torsion_hu(seed, n: int) -> frozenset:
 
 def tree_to_torsion(t: BinaryTree) -> TorsionPair:
     n = size(t)
-    if n < 1:
-        raise InvariantError("torsion pairs need a tree of size >= 1")
     balls, row, *_ = _engine(n)
     tors = free = 0
     for i, m, j in node_spans(t):
@@ -223,10 +223,6 @@ def torsion_to_tree(objs, n: int) -> BinaryTree:
 
 def enumerate_torsion(n: int) -> list:
     """All torsion pairs of the ambient-n triangle, in tree-canonical order."""
-    from .core import enumerate_trees
-
-    if n == 0:
-        return [TorsionPair(frozenset(), frozenset(), 0)]
     return [tree_to_torsion(t) for t in enumerate_trees(n)]
 
 
@@ -283,16 +279,14 @@ def decompose_rectangle(objs, n: int) -> RectangleSplit:
 
 def recompose_rectangle(split: RectangleSplit, n: int) -> frozenset:
     """Inverse of decompose_rectangle, through the column heights of the
-    pieces; InvariantError when they are no tree's column_profile."""
-    if split.width == 0:
-        return frozenset()
+    pieces; InvariantError when decompose_rectangle does not give the split
+    back from the class they rebuild."""
     shift = split.skipped + split.width
     right = {Interval(x.a + shift, x.b + shift) for x in split.right}
     pieces = split.left | split.rectangle | right
     for x in pieces:
         x.check_ambient(n)
-    heights = _heights(pieces, n)
-    t = tree_from_profile(heights)
-    if column_profile(t) != heights:
+    objs = tree_to_torsion(tree_from_profile(_heights(pieces, n))).torsion
+    if decompose_rectangle(objs, n) != split:
         raise InvariantError("split is not a rectangle decomposition")
-    return tree_to_torsion(t).torsion
+    return objs

@@ -122,7 +122,7 @@ def verify_roundtrips(n_max: int) -> dict:
     _check("perm <-> tree", fails, report)
 
     fails = []
-    for n in range(1, n_max + 1):
+    for n in range(n_max + 1):
         for t in enumerate_trees(n):
             g = torsion.tree_to_torsion(t).torsion
             if torsion.torsion_to_tree(g, n) != t:
@@ -143,7 +143,7 @@ def verify_commutativity(n_max: int) -> dict:
     _check("bookshelf == dyck route", fails, report)
 
     fails = []
-    for n in range(1, n_max + 1):
+    for n in range(n_max + 1):
         for t in enumerate_trees(n):
             g = torsion.tree_to_torsion(t).torsion
             if torsion.torsion_to_gapped_young(g, n) != bookshelf_gapped(t):
@@ -169,7 +169,7 @@ def verify_torsion(n_max: int) -> dict:
     _check("hom reflexive and antisymmetric", fails, report)
 
     fails = []
-    for n in range(1, n_max + 1):
+    for n in range(n_max + 1):
         for t in enumerate_trees(n):
             pair = torsion.tree_to_torsion(t)
             if torsion.perp_right(pair.torsion, n) != pair.free:
@@ -179,7 +179,7 @@ def verify_torsion(n_max: int) -> dict:
     _check("trees give torsion pairs (both clauses)", fails, report)
 
     fails = []
-    for n in range(1, n_max + 1):
+    for n in range(n_max + 1):
         for t in enumerate_trees(n):
             g = torsion.tree_to_torsion(t).torsion
             if torsion.torsion_generate(g, n).torsion != g:
@@ -187,7 +187,7 @@ def verify_torsion(n_max: int) -> dict:
     _check("generation is idempotent on classes", fails, report)
 
     fails = []
-    for n in range(1, min(n_max, 5) + 1):
+    for n in range(min(n_max, 5) + 1):
         balls = sorted(torsion.all_balls(n))
         for r in range(len(balls) + 1):
             for seed in combinations(balls, r):
@@ -198,7 +198,7 @@ def verify_torsion(n_max: int) -> dict:
     _check("closure rules == perpendicular generation (all seeds, n <= 5)", fails, report)
 
     fails = []
-    for n in range(1, n_max + 1):
+    for n in range(n_max + 1):
         for t in enumerate_trees(n):
             g = torsion.tree_to_torsion(t).torsion
             split = torsion.decompose_rectangle(g, n)

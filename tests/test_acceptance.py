@@ -199,12 +199,8 @@ def test_criterion_10_end_to_end_coherence():
     for n in range(0, 7):
         for t in enumerate_trees(n):
             for a in FAMILIES:
-                if a == "torsion" and n == 0:
-                    continue
                 doc = _from_tree(a, t, "json")
                 for b in FAMILIES:
-                    if b == "torsion" and n == 0:
-                        continue
                     mid = _from_tree(b, _to_tree(a, doc), "json")
                     assert _from_tree(a, _to_tree(b, mid), "json") == doc
     # the direct maps agree with the tree-hub route

@@ -163,15 +163,19 @@ def test_convert_round_trips_all_pairs(capsys):
     for n in range(0, 5):
         for t in enumerate_trees(n):
             for a in FAMILIES:
-                if a == "torsion" and n == 0:
-                    continue
                 doc = _from_tree(a, t, "json")
                 for b in FAMILIES:
-                    if b == "torsion" and n == 0:
-                        continue
                     mid = _from_tree(b, _to_tree(a, doc), "json")
                     back = _from_tree(a, _to_tree(b, mid), "json")
                     assert back == doc
+
+
+def test_ambient_zero_torsion_pair_round_trips(capsys):
+    code, line, _ = run(capsys, "enumerate", "torsion", "--n", "0")
+    assert code == 0 and line == '{"n": 0, "torsion": [], "free": []}\n'
+    assert run(capsys, "convert", "torsion", "torsion", "--input", line) == (0, line, "")
+    assert run(capsys, "convert", "torsion", "tree", "--input", line) == (0, '"•"\n', "")
+    assert run(capsys, "convert", "tree", "torsion", "--input", '"•"') == (0, line, "")
 
 
 def test_verify_all_small(capsys):

@@ -14,7 +14,6 @@ BOUNDED = {
     "core.enumerate_trees",  # one level per size, each size cached
     "core.enumerate_dyck.rec",  # 2n steps deep, n <= 12 at the CLI
     "core.enumerate_young.rec",  # one level per row, n <= 12 at the CLI
-    "tamari._reach.fill",  # the longest chain, n(n-1)/2 <= 28 at n = 8
     "verify._gap_insertion",  # one level per size, n <= 9 by --n-max
 }
 

@@ -144,6 +144,40 @@ def test_two_minimal_upper_bounds_break_lattice():
         assert not is_lattice(p)
 
 
+@pytest.mark.parametrize("kind", ["cycle", "self-loop", "foreign cover"])
+def test_malformed_poset_raises_invariant_error(kind):
+    a, b = enumerate_trees(2)
+    covers = {
+        "cycle": {(a, b), (b, a)},
+        "self-loop": {(a, a)},
+        "foreign cover": {(a, enumerate_trees(3)[0])},
+    }[kind]
+    p = TamariPoset((a, b), frozenset(covers))
+    with pytest.raises(InvariantError):
+        _leq_matrix(p)
+    with pytest.raises(InvariantError):
+        is_lattice(p)
+
+
+def test_leq_matrix_fills_a_long_chain():
+    # deeper than the default recursion limit
+    nodes = enumerate_trees(9)[:3000]
+    up, down = _leq_matrix(TamariPoset(nodes, frozenset(zip(nodes, nodes[1:]))))
+    full = (1 << len(nodes)) - 1
+    assert up == [full >> i << i for i in range(len(nodes))]
+    assert down == [full >> (len(nodes) - 1 - i) for i in range(len(nodes))]
+
+
+def test_tamari_order_is_reversed_torsion_inclusion():
+    # Ingalls-Thomas: t <= u exactly when the class of u lies in that of t
+    for n in range(1, 8):
+        p = build_lattice(n)
+        tors = [tree_to_torsion(t).torsion for t in p.nodes]
+        up = _leq_matrix(p).up
+        for i, ti in enumerate(tors):
+            assert up[i] == sum(1 << j for j, tj in enumerate(tors) if tj <= ti)
+
+
 def test_interval_count_matches_chapoton():
     # Chapoton (2006): the size-n Tamari lattice has 2(4n+1)!/((n+1)!(3n+2)!)
     # intervals, that is pairs t <= u

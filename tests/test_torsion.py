@@ -291,3 +291,21 @@ def test_recompose_rejects_a_split_that_is_no_decomposition():
     split = RectangleSplit(0, 3, rect, iset((1, 2)), frozenset())
     with pytest.raises(InvariantError):
         recompose_rectangle(split, 4)
+
+
+@pytest.mark.parametrize(
+    "split",
+    [
+        # nothing is skipped and no rectangle taken, yet a piece is left over
+        RectangleSplit(0, 0, frozenset(), iset((1, 1)), frozenset()),
+        # the true split of {[1, 1]}, with five columns skipped that are not
+        RectangleSplit(5, 1, iset((1, 1)), frozenset(), frozenset()),
+    ],
+    ids=["empty-rectangle", "wrong-skip"],
+)
+def test_recompose_rejects_splits_decomposition_does_not_give_back(split):
+    assert decompose_rectangle(iset((1, 1)), 2) == RectangleSplit(
+        0, 1, iset((1, 1)), frozenset(), frozenset()
+    )
+    with pytest.raises(InvariantError):
+        recompose_rectangle(split, 2)
