@@ -1,31 +1,31 @@
 """Command line front end.
 
 Verbs: enumerate, convert, verify, render, chains, lattice.  Enumeration
-streams one JSON document per line in canonical order, written from what the
-enumerators make (paren strings, words, rows, tuples) without building or
-revalidating an object per line.  Conversion routes everything through the
-binary tree hub.  Exit codes: 0 success, 1 usage or input error, 2
+streams one JSON document per line in canonical order; each line of a tree,
+Dyck, Young or 213-avoider enumeration is one join of text pieces from
+tables of the smaller sizes (serialize.enumeration_lines), so no object is
+built, checked or formatted per line.  Conversion routes everything through
+the binary tree hub.  Exit codes: 0 success, 1 usage or input error, 2
 verification failure.
 
 Documented feasibility bounds: n <= 12 for trees, paths, diagrams and
-permutations; n <= 8 for torsion and the lattice; n <= 9 for chain
+permutations; n <= 8 for torsion and the lattice; n <= 11 for chain
 counting; --n-max 2..9 for verify.
 """
 
 import argparse
 import json
 import sys
-from functools import partial
 from itertools import islice
 
 from . import baseball, dyck, render, serialize, tamari, torsion, verify
 from .bookshelf import bookshelf, inverse_bookshelf
-from .core import (
+from .core import (  # the enumerate_* names are not called here; bench/spans.py traces them
     BinaryTree,
     enumerate_dyck,
     enumerate_parens,
     enumerate_perms213,
-    enumerate_trees,  # not called here; bench/spans.py traces this name
+    enumerate_trees,
     enumerate_young,
     size,
     to_paren,
@@ -100,21 +100,11 @@ def cmd_enumerate(args) -> int:
         return _die("enumerate needs --n")
     if n < 0 or n > _MAX_N[family]:
         return _die(f"n={n} out of bounds for {family} (0..{_MAX_N[family]})")
-    # each family streams in its own canonical order; the enumerators make
-    # only valid objects, so their raw form is formatted as it comes
-    if family == "tree":
-        objs = enumerate_parens(n)
-        fmt = str if args.format == "paren" else serialize.quoted
-    elif family == "dyck":
-        objs, fmt = enumerate_dyck(n), serialize.quoted
-    elif family == "young":
-        objs, fmt = enumerate_young(n), partial(serialize.young_document, n)
-    elif family == "perm213":
-        objs, fmt = enumerate_perms213(n), serialize.int_array
+    if family == "tree" and args.format == "paren":
+        lines = enumerate_parens(n)
     else:
-        objs, fmt = torsion.enumerate_torsion(n), serialize.serialize_torsion
-    # a write per line costs about as much as formatting the line
-    lines = map(fmt, objs)
+        lines = serialize.enumeration_lines(family, n)
+    # a write per line costs more than making the line
     while chunk := list(islice(lines, 4096)):
         sys.stdout.write("\n".join(chunk) + "\n")
     return 0
@@ -175,8 +165,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    if args.n is None or not (1 <= args.n <= 9):
-        return _die("chains needs --n in 1..9")
+    if args.n is None or not (1 <= args.n <= 11):
+        return _die("chains needs --n in 1..11")
     print(tamari.count_maximal_chains(args.n))
     return 0
 

@@ -12,6 +12,14 @@ right) of a size-n tree sits at coordinate (n - j, i), where the first entry
 counts steps along the left root axis and the second along the right.
 Every bijection out of a tree reads its family off one walk, node_spans.
 
+The enumerators of trees, Dyck words, staircase rows and 213-avoiders build
+each object of size n as one join of a few pieces from tables of the
+smaller sizes, made bottom-up with loops (trees by the root split, Dyck
+words by meeting in the middle, rows by suffix tables, permutations by the
+first-element split); only the size-n objects are streamed.  Tuples and
+strings both concatenate with +, so the same table code makes the library's
+lists (tuple pieces) and the CLI's JSON lines (text pieces, via serialize).
+
 Trees are immutable and share subtrees freely.  A Node stores its size when
 it is built, so size() is O(1), and caches its hash the first time it is
 hashed; an Interval caches its hash when it is built.
@@ -20,7 +28,7 @@ hashed; an Interval caches its hash when it is built.
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import comb
-from typing import Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import AmbientMismatchError, InvariantError, NotAPermutationError
 
@@ -227,6 +235,12 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def _size(n: int) -> int:
+    if n < 0:
+        raise InvariantError(f"size must be >= 0, got {n}")
+    return n
+
+
 def _splits(table, n: int):
     """(left, rights) for size n, from table[m] = the objects of size m:
     split sizes (i, n-1-i) with i ascending, then the left part varying
@@ -244,12 +258,43 @@ def enumerate_trees(n: int) -> tuple:
     Canonical order: split sizes (i, n-1-i) with i ascending, then the left
     subtree varying slowest.  Subtrees are shared between entries.
     """
-    if n < 0:
-        raise InvariantError("tree size must be >= 0")
-    if n == 0:
+    if _size(n) == 0:
         return (LEAF,)
     table = [enumerate_trees(m) for m in range(n)]
     return tuple(Node(l, r) for l, rights in _splits(table, n) for r in rights)
+
+
+class Spelling(NamedTuple):
+    """How a sequence of ints v1, v2, ..., vk is written: open + first(v1) +
+    after(v2) + ... + after(vk) + close.  The pieces are all str or all
+    tuples."""
+
+    open: object
+    first: Callable
+    after: Callable
+    close: object
+
+
+def _one(v):
+    return (v,)
+
+
+_TUPLES = Spelling((), _one, _one, ())
+
+
+def _parens(n: int, quote: str):
+    """to_paren of every tree of enumerate_trees(n), in the same order,
+    each between two quotes."""
+    table = [("•",)]  # table[m]: the paren strings of size m, canonical order
+    for m in range(1, n):
+        table.append(tuple("(" + l + r + ")" for l, rights in _splits(table, m) for r in rights))
+    if n == 0:
+        yield quote + "•" + quote
+    close = ")" + quote
+    for l, rights in _splits(table, n):
+        head = quote + "(" + l
+        for r in rights:
+            yield f"{head}{r}{close}"  # one join of the three pieces
 
 
 def enumerate_parens(n: int):
@@ -259,72 +304,114 @@ def enumerate_parens(n: int):
     the smaller sizes, so no tree is built or walked.  The smaller sizes are
     kept; the size-n strings are streamed.
     """
-    if n < 0:
-        raise InvariantError("tree size must be >= 0")
-    table = [("•",)]
-    for m in range(1, n + 1):
-        joined = ("(" + l + r + ")" for l, rights in _splits(table, m) for r in rights)
-        table.append(joined if m == n else tuple(joined))
-    return iter(table[n])
+    return _parens(_size(n), "")
+
+
+def _dyck_words(n: int, quote: str):
+    """The Dyck words of semilength n, lexicographic with U before R, each
+    between two quotes.
+
+    Meet in the middle: a word is a ballot prefix of n steps, ending at some
+    height h, then n steps that fall from h to 0 without going below it.
+    Prefixes are listed in lexicographic order, and each is followed by the
+    falls from its height in lexicographic order; no table holds more than
+    binom(n, n // 2) words.
+    """
+    heads = [(quote, 0)]  # the ballot prefixes of length m and their heights
+    falls = [[quote]]  # falls[h]: the words of length m falling from h to 0
+    for _ in range(n):
+        heads = [(w + s, h + d) for w, h in heads for s, d in (("U", 1), ("R", -1)) if h + d >= 0]
+        ups = falls[1:] + [[], []]  # ups[h] = falls[h + 1]
+        downs = [[]] + falls  # downs[h] = falls[h - 1]
+        falls = [["U" + w for w in u] + ["R" + w for w in d] for u, d in zip(ups, downs)]
+    for w, h in heads:
+        for tail in falls[h]:
+            yield w + tail
 
 
 def enumerate_dyck(n: int) -> list:
     """All Dyck words of semilength n, lexicographic with U before R."""
-    out = []
+    return list(_dyck_words(_size(n), ""))
 
-    def rec(prefix, ups, downs):
-        if ups == 0 and downs == 0:
-            out.append(prefix)
-            return
-        if ups > 0:
-            rec(prefix + "U", ups - 1, downs)
-        if downs > ups:
-            rec(prefix + "R", ups, downs - 1)
 
-    rec("", n, n)
-    return out
+def _young_rows(n: int, spell: Spelling):
+    """The staircase partitions for ambient n in lexicographic order, each
+    spelled by spell.
+
+    rest[c] spells, as after-pieces ending in close, every way to go on
+    below the rows so far when the next row is at most c: no more rows
+    first, then the next row ascending.  The tables are built from the last
+    row up to the third; the first two rows are streamed.
+    """
+    after, close = spell.after, spell.close
+    rest = []
+    for i in range(n - 1, 1, -1):  # i rows so far; row i is at most n - 1 - i
+        level = [[close]]
+        for c in range(1, n - i):
+            level.append(level[-1] + [after(c) + s for s in rest[min(c, n - 2 - i)]])
+        rest = level
+    yield spell.open + close
+    for a in range(1, n):
+        head = spell.open + spell.first(a)
+        yield head + close
+        for b in range(1, min(a, n - 2) + 1):
+            head_b = head + after(b)
+            for tail in rest[min(b, n - 3)]:
+                yield head_b + tail
 
 
 def enumerate_young(n: int) -> list:
     """All staircase partitions for ambient n, in lexicographic order.
 
-    Rows are weakly decreasing with rows[i] + i + 1 <= n.  Each prefix is
-    listed before its extensions and the next row tries lengths ascending,
-    which is lexicographic order as made, with no sort.
+    Rows are weakly decreasing with rows[i] + i + 1 <= n.
     """
-    out = [()]
-
-    def rec(prefix, i, top):
-        # prefix has i rows; the next row is at most top
-        for l in range(1, min(top, n - i - 1) + 1):
-            rows = prefix + (l,)
-            out.append(rows)
-            rec(rows, i + 1, l)
-
-    rec((), 0, n)
-    return out
+    return list(_young_rows(_size(n), _TUPLES))
 
 
-def enumerate_perms213(n: int) -> list:
-    """All 213-avoiding permutations of 1..n in lexicographic order.
+def _perms213(n: int, spell: Spelling):
+    """The 213-avoiding permutations of 1..n in lexicographic order, each
+    spelled by spell.
 
     First-element split: a permutation that starts with k avoids 213 iff
     every value above k comes before every value below k and both blocks
     avoid 213.  So p = k ++ (B + k) ++ C, with B a 213-avoider of length
     n - k and C one of length k - 1.  Taking k ascending, then B, then C,
-    each in lexicographic order, lists the permutations in lexicographic
-    order with no sort and no factorial-size filtering.
+    each in lexicographic order, is lexicographic order.  table[s][shift]
+    spells the 213-avoiders of length s with every value raised by shift, as
+    after-pieces; B is read from table[n - k][k] and C from table[k - 1][0],
+    so no value is shifted per object.
     """
-    table = [[()]]  # table[m]: the 213-avoiders of length m, in order
-    for m in range(1, n + 1):
-        perms = []
-        for k in range(1, m + 1):
-            tails = table[k - 1]
-            for b in table[m - k]:
-                head = (k, *[v + k for v in b])
-                perms += [head + c for c in tails]
-        table.append(perms)
-    return table[n]
+    close = spell.close
+    after = [spell.after(v) for v in range(n + 1)]
+    empty = spell.open[:0]  # "" or ()
+    table = [[[empty]] * (n + 1)]  # table[0][shift]: the empty permutation
+
+    def spelled(s, shift):
+        return (
+            after[k + shift] + b + c
+            for k in range(1, s + 1)
+            for b in table[s - k][shift + k]
+            for c in table[k - 1][shift]
+        )
+
+    for s in range(1, n):
+        # length n - 1 is read once, as B when k = 1 and as C when k = n,
+        # so it is streamed rather than kept
+        keep = list if s < n - 1 else iter  # iter of a generator is itself
+        table.append([keep(spelled(s, shift)) for shift in range(n - s + 1)])
+    if n == 0:
+        yield spell.open + close
+    for k in range(1, n + 1):
+        first = spell.open + spell.first(k)
+        for b in table[n - k][k]:
+            head = first + b
+            for c in table[k - 1][0]:
+                yield head + c + close
+
+
+def enumerate_perms213(n: int) -> list:
+    """All 213-avoiding permutations of 1..n in lexicographic order."""
+    return list(_perms213(_size(n), _TUPLES))
 
 
 def _is_int(v) -> bool:

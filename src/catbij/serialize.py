@@ -14,8 +14,10 @@ is a pair exactly when torsion_generate gives it back from its torsion
 class; ambient 0 has the one pair with no balls.
 
 quoted and int_array write what json.dumps writes on the strings and int
-sequences of valid objects, without its per-call cost; the CLI streams
-enumerations through them.
+sequences of valid objects, without its per-call cost.  enumeration_lines
+streams the documents of a whole enumeration: core's enumerators spell each
+tree, Dyck, Young or 213-avoider document as one join of JSON text pieces,
+so no object is built, checked or formatted per line.
 """
 
 import json
@@ -27,15 +29,20 @@ from .core import (
     Interval,
     InvariantError,
     Node,
+    Spelling,
     TorsionPair,
     YoungDiagram,
+    _dyck_words,
     _is_int,
+    _parens,
+    _perms213,
+    _young_rows,
     from_paren,
     is_213_avoiding,
     to_paren,
 )
 from .errors import MalformedDocumentError
-from .torsion import torsion_generate
+from .torsion import enumerate_torsion, torsion_generate
 
 
 def _load(text):
@@ -103,14 +110,8 @@ def deserialize_dyck(text: str) -> DyckPath:
 
 # -- Young diagrams ---------------------------------------------------------
 
-def young_document(n: int, rows) -> str:
-    """The young document of rows that already form a staircase partition
-    for ambient n, such as those enumerate_young makes; nothing is checked."""
-    return f'{{"n": {n}, "rows": {int_array(rows)}}}'
-
-
 def serialize_young(y: YoungDiagram) -> str:
-    return young_document(y.n, y.rows)
+    return f'{{"n": {y.n}, "rows": {int_array(y.rows)}}}'
 
 
 def deserialize_young(text: str) -> YoungDiagram:
@@ -188,3 +189,25 @@ def deserialize_perm(text: str) -> tuple:
     if not is_213_avoiding(p):
         raise InvariantError(f"{p!r} contains a 213 pattern")
     return p
+
+
+# -- enumeration lines ------------------------------------------------------
+
+def _after(v: int) -> str:
+    return ", " + str(v)
+
+
+def enumeration_lines(family: str, n: int):
+    """For every object of family at size n, in enumeration order, the
+    document its serialize_* writes; n is not checked."""
+    if family == "tree":
+        return _parens(n, '"')
+    if family == "dyck":
+        return _dyck_words(n, '"')
+    if family == "young":
+        return _young_rows(n, Spelling(f'{{"n": {n}, "rows": [', str, _after, "]}"))
+    if family == "perm213":
+        return _perms213(n, Spelling("[", str, _after, "]"))
+    if family == "torsion":
+        return map(serialize_torsion, enumerate_torsion(n))
+    raise ValueError(f"unknown family {family!r}")

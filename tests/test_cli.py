@@ -231,8 +231,11 @@ def test_verify_oracles_are_not_vacuous(monkeypatch):
 def test_chains(capsys):
     code, out, _ = run(capsys, "chains", "--n", "4")
     assert code == 0 and out.strip() == "9"
-    code, _, _ = run(capsys, "chains", "--n", "20")
-    assert code == 1
+    code, out, _ = run(capsys, "chains", "--n", "10")
+    assert code == 0 and out.strip() == "36812710172987995"
+    for n in ("0", "12", "20"):
+        code, _, err = run(capsys, "chains", "--n", n)
+        assert code == 1 and "1..11" in err
 
 
 def test_lattice_json(capsys):

@@ -281,6 +281,31 @@ def test_enumerate_dyck_basics():
         DyckPath(w)  # validates
 
 
+def test_enumerate_dyck_is_the_sorted_brute_force():
+    # every word over {U, R} of length 2n, filtered by the ballot condition
+    # and sorted with U before R: an oracle independent of the meet in the
+    # middle that enumerate_dyck uses
+    def is_dyck(w):
+        height = 0
+        for c in w:
+            height += 1 if c == "U" else -1
+            if height < 0:
+                return False
+        return height == 0
+
+    for n in range(0, 9):
+        brute = ("".join(w) for w in itertools.product("UR", repeat=2 * n))
+        want = sorted(filter(is_dyck, brute), key=lambda w: w.replace("U", "0").replace("R", "1"))
+        assert enumerate_dyck(n) == want
+
+
+def test_enumerators_refuse_negative_sizes():
+    for enumerate_family in (enumerate_trees, enumerate_parens, enumerate_dyck,
+                             enumerate_young, enumerate_perms213):
+        with pytest.raises(InvariantError):
+            enumerate_family(-1)
+
+
 def test_enumerate_young_objects_valid():
     for n in range(0, 7):
         rows_list = enumerate_young(n)

@@ -12,8 +12,6 @@ import catbij
 
 BOUNDED = {
     "core.enumerate_trees",  # one level per size, each size cached
-    "core.enumerate_dyck.rec",  # 2n steps deep, n <= 12 at the CLI
-    "core.enumerate_young.rec",  # one level per row, n <= 12 at the CLI
     "verify._gap_insertion",  # one level per size, n <= 9 by --n-max
 }
 

@@ -23,7 +23,7 @@ from catbij import (
     tree_to_torsion,
     verify_order_reversing,
 )
-from catbij.tamari import _leq_matrix
+from catbij.tamari import _cover_indices, _leq_matrix
 
 
 def reorderings(nodes):
@@ -196,6 +196,40 @@ def test_chain_counts():
     assert count_maximal_chains(2) == 1
     assert count_maximal_chains(3) == 2
     assert count_maximal_chains(4) == 9
+
+
+def shifted_staircase_tableaux(m):
+    """Standard shifted tableaux of shape (m, m-1, ..., 1), by the shifted
+    hook-length formula: the hook of cell (i, j) is the rest of row i from
+    j, the cells below it in column j, and all of row j + 1."""
+    rows = list(range(m, 0, -1))  # row i (0-indexed) holds columns i..m-1
+    hooks = 1
+    for i, length in enumerate(rows):
+        for j in range(i, i + length):
+            below = sum(1 for r in range(i + 1, len(rows)) if r <= j < r + rows[r])
+            hooks *= (i + length - j) + below + (rows[j + 1] if j + 1 < len(rows) else 0)
+    return factorial(sum(rows)) // hooks
+
+
+def test_longest_chains_are_shifted_staircase_tableaux():
+    # Fishel-Nelson (2014): the chains of length n(n-1)/2 in the size-n
+    # Tamari lattice are counted by the standard shifted tableaux of shape
+    # (n-1, ..., 1).  Chains are counted by length along the covers, from
+    # the top (index 0) down to the bottom (the last index).
+    counts = []
+    for n in range(1, 8):
+        by_length = []  # per tree: {length: chains from the tree up to the top}
+        for up in _cover_indices(enumerate_trees(n)):
+            lengths = {0: 1} if not up else {}
+            for j in up:
+                for length, c in by_length[j].items():
+                    lengths[length + 1] = lengths.get(length + 1, 0) + c
+            by_length.append(lengths)
+        longest = n * (n - 1) // 2
+        assert max(by_length[-1]) == longest
+        counts.append(by_length[-1][longest])
+        assert counts[-1] == shifted_staircase_tableaux(n - 1)
+    assert counts == [1, 1, 1, 2, 12, 286, 33592]
 
 
 def test_chain_count_against_plain_dfs():
