@@ -1,16 +1,16 @@
 """Command line front end.
 
 Verbs: enumerate, convert, verify, render, chains, lattice.  Enumeration
-streams one JSON document per line in canonical order; each line of a tree,
-Dyck, Young or 213-avoider enumeration is one join of text pieces from
-tables of the smaller sizes (serialize.enumeration_lines), so no object is
-built, checked or formatted per line.  Conversion routes everything through
-the binary tree hub.  Exit codes: 0 success, 1 usage or input error, 2
-verification failure.
+streams one JSON document per line in canonical order; each line is one
+join of text pieces from tables of the smaller sizes, or, for torsion pairs,
+read off the ball masks of such tables a byte at a time
+(serialize.enumeration_lines), so no object is built, checked or formatted
+per line.  Conversion routes everything through the binary tree hub.  Exit
+codes: 0 success, 1 usage or input error, 2 verification failure.
 
-Documented feasibility bounds: n <= 12 for trees, paths, diagrams and
-permutations; n <= 8 for torsion and the lattice; n <= 11 for chain
-counting; --n-max 2..9 for verify.
+Documented feasibility bounds: n <= 12 for every family (trees, paths,
+diagrams, torsion pairs and permutations); n <= 8 for the lattice; n <= 11
+for chain counting; --n-max 2..9 for verify.
 """
 
 import argparse
@@ -34,7 +34,7 @@ from .errors import CatbijError, InvariantError
 
 FAMILIES = ("tree", "dyck", "young", "perm213", "torsion")
 
-_MAX_N = {"tree": 12, "dyck": 12, "young": 12, "perm213": 12, "torsion": 8}
+_MAX_N = 12  # the bound on n of every family
 
 
 def _die(msg, code=1):
@@ -45,7 +45,7 @@ def _die(msg, code=1):
 def _read(family: str, text: str):
     """Deserialize a document of family and enforce its documented bound."""
     if family == "torsion":  # refused before the ball tables of n are built
-        return serialize.deserialize_torsion(text, max_n=_MAX_N["torsion"])
+        return serialize.deserialize_torsion(text, max_n=_MAX_N)
     read, n_of = {
         "tree": (serialize.deserialize_tree, size),
         "dyck": (serialize.deserialize_dyck, lambda p: p.semilength),
@@ -53,8 +53,8 @@ def _read(family: str, text: str):
         "perm213": (serialize.deserialize_perm, len),
     }[family]
     obj = read(text)
-    if n_of(obj) > _MAX_N[family]:
-        raise InvariantError(f"n={n_of(obj)} out of bounds for {family} (0..{_MAX_N[family]})")
+    if n_of(obj) > _MAX_N:
+        raise InvariantError(f"n={n_of(obj)} out of bounds for {family} (0..{_MAX_N})")
     return obj
 
 
@@ -98,8 +98,8 @@ def cmd_enumerate(args) -> int:
     n = args.n
     if n is None:
         return _die("enumerate needs --n")
-    if n < 0 or n > _MAX_N[family]:
-        return _die(f"n={n} out of bounds for {family} (0..{_MAX_N[family]})")
+    if n < 0 or n > _MAX_N:
+        return _die(f"n={n} out of bounds for {family} (0..{_MAX_N})")
     if family == "tree" and args.format == "paren":
         lines = enumerate_parens(n)
     else:

@@ -16,7 +16,8 @@ The enumerators of trees, Dyck words, staircase rows and 213-avoiders build
 each object of size n as one join of a few pieces from tables of the
 smaller sizes, made bottom-up with loops (trees by the root split, Dyck
 words by meeting in the middle, rows by suffix tables, permutations by the
-first-element split); only the size-n objects are streamed.  Tuples and
+first-element split); the size-n objects are streamed, and so is any
+smaller size too large to keep (_entry).  Tuples and
 strings both concatenate with +, so the same table code makes the library's
 lists (tuple pieces) and the CLI's JSON lines (text pieces, via serialize).
 
@@ -26,8 +27,8 @@ hashed; an Interval caches its hash when it is built.
 """
 
 from dataclasses import FrozenInstanceError, dataclass
-from functools import lru_cache
 from math import comb
+from threading import Lock
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import AmbientMismatchError, InvariantError, NotAPermutationError
@@ -242,26 +243,62 @@ def _size(n: int) -> int:
 
 
 def _splits(table, n: int):
-    """(left, rights) for size n, from table[m] = the objects of size m:
+    """(i, left, rights) for size n, from table[m] = the objects of size m:
     split sizes (i, n-1-i) with i ascending, then the left part varying
     slowest.  Joining each left with each of its rights is canonical order."""
     for i in range(n):
         rights = table[n - 1 - i]
         for l in table[i]:
-            yield l, rights
+            yield i, l, rights
 
 
-@lru_cache(maxsize=None)
+_KEEP = 1 << 15  # objects; a larger table is not kept (_entry)
+
+
+class _Rejoined:
+    """A table entry too large to keep: each read joins it again, as
+    rows(*args), from the smaller sizes."""
+
+    def __init__(self, rows, *args):
+        self.rows, self.args = rows, args
+
+    def __iter__(self):
+        return iter(self.rows(*self.args))
+
+
+def _entry(count: int, rows, *args):
+    """The table entry of what rows(*args) yields, for a size whose table
+    holds count objects: a tuple up to _KEEP objects, else _Rejoined.  The
+    sizes just below the top are the largest tables and the fewest times
+    read, so they are the ones re-joined."""
+    return tuple(rows(*args)) if count <= _KEEP else _Rejoined(rows, *args)
+
+
+def _tables(n: int, leaf, rows) -> list:
+    """table[m] for 0 <= m <= n: (leaf,) for m = 0, else the _entry of the
+    catalan(m) objects that rows(table, m) joins from the smaller sizes."""
+    table = [(leaf,)]
+    for m in range(1, n + 1):
+        table.append(_entry(catalan(m), rows, table, m))
+    return table
+
+
+_TREES = [(LEAF,)]  # _TREES[m] is enumerate_trees(m), built once
+_TREES_LOCK = Lock()
+
+
 def enumerate_trees(n: int) -> tuple:
     """All full binary trees with n internal nodes, canonical order.
 
     Canonical order: split sizes (i, n-1-i) with i ascending, then the left
-    subtree varying slowest.  Subtrees are shared between entries.
+    subtree varying slowest.  Each size is built once, by a loop over the
+    smaller sizes, so subtrees are shared between entries and calls.
     """
-    if _size(n) == 0:
-        return (LEAF,)
-    table = [enumerate_trees(m) for m in range(n)]
-    return tuple(Node(l, r) for l, rights in _splits(table, n) for r in rights)
+    _size(n)
+    with _TREES_LOCK:
+        for m in range(len(_TREES), n + 1):
+            _TREES.append(tuple(Node(l, r) for _, l, rights in _splits(_TREES, m) for r in rights))
+    return _TREES[n]
 
 
 class Spelling(NamedTuple):
@@ -285,13 +322,15 @@ _TUPLES = Spelling((), _one, _one, ())
 def _parens(n: int, quote: str):
     """to_paren of every tree of enumerate_trees(n), in the same order,
     each between two quotes."""
-    table = [("•",)]  # table[m]: the paren strings of size m, canonical order
-    for m in range(1, n):
-        table.append(tuple("(" + l + r + ")" for l, rights in _splits(table, m) for r in rights))
+
+    def rows(table, m):
+        return ("(" + l + r + ")" for _, l, rights in _splits(table, m) for r in rights)
+
+    table = _tables(n - 1, "•", rows)
     if n == 0:
         yield quote + "•" + quote
     close = ")" + quote
-    for l, rights in _splits(table, n):
+    for _, l, rights in _splits(table, n):
         head = quote + "(" + l
         for r in rights:
             yield f"{head}{r}{close}"  # one join of the three pieces
@@ -300,9 +339,10 @@ def _parens(n: int, quote: str):
 def enumerate_parens(n: int):
     """to_paren of every tree of enumerate_trees(n), in the same order.
 
-    The strings are joined by the same split recursion, from the strings of
-    the smaller sizes, so no tree is built or walked.  The smaller sizes are
-    kept; the size-n strings are streamed.
+    The strings are joined by the same root split, from the strings of the
+    smaller sizes, so no tree is built or walked.  The size-n strings are
+    streamed, and at n = 12 so is size 11, re-joined at each of its two
+    reads (_entry).
     """
     return _parens(_size(n), "")
 
@@ -379,7 +419,8 @@ def _perms213(n: int, spell: Spelling):
     each in lexicographic order, is lexicographic order.  table[s][shift]
     spells the 213-avoiders of length s with every value raised by shift, as
     after-pieces; B is read from table[n - k][k] and C from table[k - 1][0],
-    so no value is shifted per object.
+    so no value is shifted per object.  At n = 12 lengths 10 and 11 are
+    re-joined at each read rather than kept (_entry).
     """
     close = spell.close
     after = [spell.after(v) for v in range(n + 1)]
@@ -395,10 +436,8 @@ def _perms213(n: int, spell: Spelling):
         )
 
     for s in range(1, n):
-        # length n - 1 is read once, as B when k = 1 and as C when k = n,
-        # so it is streamed rather than kept
-        keep = list if s < n - 1 else iter  # iter of a generator is itself
-        table.append([keep(spelled(s, shift)) for shift in range(n - s + 1)])
+        count = catalan(s) * (n - s + 1)  # every shift of length s
+        table.append([_entry(count, spelled, s, shift) for shift in range(n - s + 1)])
     if n == 0:
         yield spell.open + close
     for k in range(1, n + 1):

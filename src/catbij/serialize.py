@@ -17,7 +17,9 @@ quoted and int_array write what json.dumps writes on the strings and int
 sequences of valid objects, without its per-call cost.  enumeration_lines
 streams the documents of a whole enumeration: core's enumerators spell each
 tree, Dyck, Young or 213-avoider document as one join of JSON text pieces,
-so no object is built, checked or formatted per line.
+and a torsion document joins the pieces of its two ball masks, read a byte
+at a time, so no object is built, checked or formatted per line.  The CLI
+takes every family to n <= 12 and passes that bound to deserialize_torsion.
 """
 
 import json
@@ -42,7 +44,7 @@ from .core import (
     to_paren,
 )
 from .errors import MalformedDocumentError
-from .torsion import enumerate_torsion, torsion_generate
+from .torsion import _torsion_masks, torsion_generate
 
 
 def _load(text):
@@ -197,6 +199,26 @@ def _after(v: int) -> str:
     return ", " + str(v)
 
 
+def _torsion_lines(n: int):
+    """serialize_torsion of every pair of enumerate_torsion(n), in order,
+    read off the masks of _torsion_masks a byte at a time: spelled[k][v] is
+    the ", [a, b]" pieces of the balls set in the value v of byte k."""
+    width = (n * n + 7) // 8
+    # ball [a, b] is bit (a - 1) * n + (b - 1); the bits of no ball stay clear
+    pieces = [f", [{k // n + 1}, {k % n + 1}]" for k in range(8 * width)]
+    spelled = []
+    for k in range(0, len(pieces), 8):
+        byte = [""]
+        for piece in pieces[k : k + 8]:  # byte[v + 2**j] = byte[v] + piece j
+            byte += [s + piece for s in byte]
+        spelled.append(byte)
+    get = list.__getitem__
+    for tors, free in _torsion_masks(n):
+        t = "".join(map(get, spelled, tors.to_bytes(width, "little")))
+        f = "".join(map(get, spelled, free.to_bytes(width, "little")))
+        yield f'{{"n": {n}, "torsion": [{t[2:]}], "free": [{f[2:]}]}}'
+
+
 def enumeration_lines(family: str, n: int):
     """For every object of family at size n, in enumeration order, the
     document its serialize_* writes; n is not checked."""
@@ -209,5 +231,5 @@ def enumeration_lines(family: str, n: int):
     if family == "perm213":
         return _perms213(n, Spelling("[", str, _after, "]"))
     if family == "torsion":
-        return map(serialize_torsion, enumerate_torsion(n))
+        return _torsion_lines(n)
     raise ValueError(f"unknown family {family!r}")

@@ -39,7 +39,8 @@ from .core import (
     Interval,
     InvariantError,
     TorsionPair,
-    enumerate_trees,
+    _splits,
+    _tables,
     node_spans,
     size,
 )
@@ -221,9 +222,41 @@ def torsion_to_tree(objs, n: int) -> BinaryTree:
     return tree_from_profile(_class_heights(objs, n))
 
 
+def _torsion_masks(n: int):
+    """(tors, free) of tree_to_torsion(t) for each t of enumerate_trees(n),
+    in order, as masks with ball [a, b] at bit (a - 1) * n + (b - 1): the
+    bits in order are the balls in sorted order.  n is not checked.
+
+    A tree of size s whose left subtree has size i holds [a, i], a <= i, in
+    its torsion class and [i + 1, b], b < s, in its free class, and its right
+    subtree's balls with labels raised by i + 1, a shift of (i + 1)(n + 1)
+    bits.  One int packs tors | free << n * n, and a raised torsion bit stays
+    below n * n, so a tree is left | top[i] | right << shift.
+    """
+    free_at = n * n
+
+    def rows(table, s):
+        top = [
+            sum(1 << (a - 1) * n + i - 1 for a in range(1, i + 1))
+            | sum(1 << i * n + b - 1 for b in range(i + 1, s)) << free_at
+            for i in range(s)
+        ]
+        for i, l, rights in _splits(table, s):
+            head, shift = l | top[i], (i + 1) * (n + 1)
+            for r in rights:
+                yield head | r << shift
+
+    low = (1 << free_at) - 1
+    for p in _tables(n, 0, rows)[n]:
+        yield p & low, p >> free_at
+
+
 def enumerate_torsion(n: int) -> list:
     """All torsion pairs of the ambient-n triangle, in tree-canonical order."""
-    return [tree_to_torsion(t) for t in enumerate_trees(n)]
+    at = [None] * (n * n)  # the engine's balls, at their _torsion_masks bits
+    for x in _engine(n)[0]:
+        at[(x.a - 1) * n + x.b - 1] = x
+    return [TorsionPair(_to_set(t, at), _to_set(f, at), n) for t, f in _torsion_masks(n)]
 
 
 def torsion_to_gapped_young(objs, n: int) -> GappedYoungDiagram:

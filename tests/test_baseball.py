@@ -144,7 +144,7 @@ def test_block_structure():
 def test_perm_bijection_has_no_depth_limit():
     from catbij import left_comb, right_comb, to_paren
 
-    depth = 2_000  # is_213_avoiding is quadratic in the length
+    depth = 2_000  # is_213_avoiding is one pass, linear in the length
     identity, reverse = tuple(range(1, depth + 1)), tuple(range(depth, 0, -1))
     assert tree_to_perm(left_comb(depth)) == identity
     assert tree_to_perm(right_comb(depth)) == reverse

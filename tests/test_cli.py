@@ -28,7 +28,7 @@ def test_enumerate_counts(capsys):
     assert out.splitlines() == ['{"n": 0, "rows": []}']
 
 
-@pytest.mark.parametrize("family", ["tree", "dyck", "young", "perm213"])
+@pytest.mark.parametrize("family", ["tree", "dyck", "young", "perm213", "torsion"])
 def test_enumerate_lines_are_the_serialized_validated_objects(capsys, family):
     # the CLI formats what the enumerators make without building or checking
     # an object; each line must still be the public serializer's document of
@@ -43,7 +43,14 @@ def test_enumerate_lines_are_the_serialized_validated_objects(capsys, family):
         is_213_avoiding,
         to_paren,
     )
-    from catbij.serialize import serialize_dyck, serialize_perm, serialize_tree, serialize_young
+    from catbij.serialize import (
+        serialize_dyck,
+        serialize_perm,
+        serialize_torsion,
+        serialize_tree,
+        serialize_young,
+    )
+    from catbij.torsion import tree_to_torsion
 
     for n in range(0, 9):
         if family == "tree":
@@ -52,6 +59,8 @@ def test_enumerate_lines_are_the_serialized_validated_objects(capsys, family):
             want = [serialize_dyck(DyckPath(w)) for w in enumerate_dyck(n)]
         elif family == "young":
             want = [serialize_young(YoungDiagram(rows, n)) for rows in enumerate_young(n)]
+        elif family == "torsion":
+            want = [serialize_torsion(tree_to_torsion(t)) for t in enumerate_trees(n)]
         else:
             perms = enumerate_perms213(n)
             assert all(map(is_213_avoiding, perms))
@@ -68,8 +77,8 @@ def test_enumerate_usage_errors(capsys):
     assert code == 1 and "unknown family" in err
     code, _, err = run(capsys, "enumerate", "tree", "--n", "40")
     assert code == 1 and "out of bounds" in err
-    code, _, err = run(capsys, "enumerate", "torsion", "--n", "9")
-    assert code == 1
+    code, _, err = run(capsys, "enumerate", "torsion", "--n", "13")
+    assert code == 1 and "out of bounds" in err
 
 
 def test_convert_dyck_to_young(capsys):
@@ -144,8 +153,9 @@ def test_torsion_ambient_is_bounded_before_the_ball_tables(capsys, monkeypatch, 
     assert code == 1 and out == ""
     assert err.startswith("error:") and "out of bounds" in err
     monkeypatch.undo()
-    code, out, _ = run(capsys, *argv, "--input", left_comb_torsion_doc(8))
-    assert code == 0
+    for n in (8, 12):  # 12 is the bound
+        code, out, _ = run(capsys, *argv, "--input", left_comb_torsion_doc(n))
+        assert code == 0
 
 
 @pytest.mark.parametrize("backend", ["ascii", "svg"])

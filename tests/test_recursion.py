@@ -11,7 +11,6 @@ from pathlib import Path
 import catbij
 
 BOUNDED = {
-    "core.enumerate_trees",  # one level per size, each size cached
     "verify._gap_insertion",  # one level per size, n <= 9 by --n-max
 }
 

@@ -1,6 +1,7 @@
 """JSON round trips and error reporting for every family."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -19,12 +20,14 @@ from catbij import (
     enumerate_trees,
     enumerate_young,
 )
+from catbij import core
 from catbij.serialize import (
     deserialize_dyck,
     deserialize_perm,
     deserialize_torsion,
     deserialize_tree,
     deserialize_young,
+    enumeration_lines,
     int_array,
     quoted,
     serialize_dyck,
@@ -33,6 +36,7 @@ from catbij.serialize import (
     serialize_tree,
     serialize_young,
 )
+from catbij.torsion import tree_to_torsion
 
 
 def test_formatters_write_what_json_dumps_writes():
@@ -155,3 +159,33 @@ def test_json_booleans_are_not_integers(deserialize, text):
     deserialize(text.replace("true", "1"))
     with pytest.raises(MalformedDocumentError):
         deserialize(text)
+
+
+def test_torsion_lines_at_n10_are_the_serialized_pairs():
+    # tree_to_torsion and serialize_torsion are the per-object route, apart
+    # from the mask tables the lines are read off
+    want = [serialize_torsion(tree_to_torsion(t)) for t in enumerate_trees(10)]
+    assert list(enumeration_lines("torsion", 10)) == want
+
+
+@pytest.mark.parametrize("family", ["tree", "perm213", "torsion"])
+def test_rejoined_tables_give_the_kept_lines(monkeypatch, family):
+    # at n <= 8 every table is kept; with a tiny cap the same sizes are
+    # re-joined at each read instead, as the largest are at n = 12
+    kept = [list(enumeration_lines(family, n)) for n in range(9)]
+    monkeypatch.setattr(core, "_KEEP", 5)
+    assert [list(enumeration_lines(family, n)) for n in range(9)] == kept
+
+
+@pytest.mark.parametrize("family", ["tree", "dyck", "young", "perm213", "torsion"])
+def test_n12_enumeration_holds_under_4_mb(family):
+    # what the generator keeps once its first line is out: its tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lines = enumeration_lines(family, 12)
+        next(lines)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 4_000_000

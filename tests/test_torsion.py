@@ -205,6 +205,22 @@ def test_enumerate_torsion_matches_brute_force():
         assert len(brute) == catalan(n)
 
 
+def test_torsion_masks_are_tree_to_torsion():
+    from catbij.torsion import _torsion_masks
+
+    for n in range(0, 9):
+        def balls(mask):  # bit k is ball [k // n + 1, k % n + 1]
+            return {Interval(k // n + 1, k % n + 1) for k in range(mask.bit_length()) if mask >> k & 1}
+
+        trees = enumerate_trees(n)
+        masks = list(_torsion_masks(n))
+        assert len(masks) == len(trees)
+        for (tors, free), t in zip(masks, trees):
+            pair = tree_to_torsion(t)
+            assert balls(tors) == pair.torsion and balls(free) == pair.free
+        assert enumerate_torsion(n) == [tree_to_torsion(t) for t in trees]
+
+
 def test_enumerate_torsion_14_classes_at_n4():
     assert len(enumerate_torsion(4)) == 14
 
