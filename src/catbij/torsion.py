@@ -25,7 +25,9 @@ when decompose_rectangle gives it back from the class it recomposes to.
 
 Seed sweeps run over every subset of the triangle (2^15 subsets at n = 6), so
 the generation and closure cores work on bitmasks with per-ambient cached
-tables; the public functions convert at the boundary.
+tables; the public functions convert at the boundary.  Enumeration joins the
+pairs' masks on the trees' split tables instead, in a layout of its own
+(_torsion_masks) that shifting a subtree's labels turns into a bit shift.
 """
 
 from dataclasses import dataclass
