@@ -104,8 +104,9 @@ def cmd_enumerate(args) -> int:
         lines = enumerate_parens(n)
     else:
         lines = serialize.enumeration_lines(family, n)
-    # a write per line costs more than making the line
-    while chunk := list(islice(lines, 4096)):
+    # a write per line costs more than making the line; 256 lines keep a
+    # chunk small where lines are long (torsion at n = 12: about 400 characters)
+    while chunk := list(islice(lines, 256)):
         sys.stdout.write("\n".join(chunk) + "\n")
     return 0
 

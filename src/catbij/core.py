@@ -252,7 +252,7 @@ def _splits(table, n: int):
             yield i, l, rights
 
 
-_KEEP = 1 << 15  # objects; a larger table is not kept (_entry)
+_KEEP = 1 << 15  # objects; a larger table is not kept (_entry, torsion._engine)
 
 
 class _Rejoined:

@@ -10,8 +10,9 @@ Schemas:
 Malformed documents raise MalformedDocumentError; documents that parse but
 break a type invariant raise InvariantError (or a subclass).  serialize and
 deserialize are mutually inverse on every valid object.  A torsion document
-is a pair exactly when torsion_generate gives it back from its torsion
-class; ambient 0 has the one pair with no balls.
+is a pair exactly when generation gives it back from its torsion class,
+compared on ball masks (is_torsion_pair); ambient 0 has the one pair with
+no balls.
 
 quoted and int_array write what json.dumps writes on the strings and int
 sequences of valid objects, without its per-call cost.  enumeration_lines
@@ -44,7 +45,7 @@ from .core import (
     to_paren,
 )
 from .errors import MalformedDocumentError
-from .torsion import _torsion_masks, torsion_generate
+from .torsion import _torsion_masks, is_torsion_pair
 
 
 def _load(text):
@@ -172,7 +173,7 @@ def deserialize_torsion(text: str, max_n=None) -> TorsionPair:
         raise InvariantError(f"document is not a torsion pair (too few balls for ambient {n})")
     # a pair is what generation gives back from its torsion class: the free
     # class is tors-perp and the torsion class is perp of that
-    if torsion_generate(tors, n) != pair:
+    if not is_torsion_pair(tors, free, n):
         raise InvariantError("document is not a torsion pair (perpendicularity fails)")
     return pair
 

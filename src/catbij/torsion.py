@@ -25,7 +25,17 @@ when decompose_rectangle gives it back from the class it recomposes to.
 
 Seed sweeps run over every subset of the triangle (2^15 subsets at n = 6), so
 the generation and closure cores work on bitmasks with per-ambient cached
-tables; the public functions convert at the boundary.  Enumeration joins the
+tables; the public functions convert at the boundary.  A sweep lands on few
+results: the ambient-n triangle has catalan(n) torsion classes and as many
+torsion-free classes, and torsion_generate, complete_torsion_hu, perp_right
+and perp_left only ever give one of those.  The engine's class table names
+each once, one frozenset per mask and one TorsionPair per (tors, free) pair
+of masks, so a class met again costs a dict lookup; the masks are still
+computed on every call.  The table is kept while its 2 catalan(n) sets of up
+to n(n - 1)/2 balls fit core._KEEP ball references, that is for n <= 7, and
+above that every call builds fresh objects.  tree_to_torsion and
+enumerate_torsion are bijections, so each result is new and a table would
+only hold on to it: they build their own objects.  Enumeration joins the
 pairs' masks on the trees' split tables instead, in a layout of its own
 (_torsion_masks) that shifting a subtree's labels turns into a bit shift.
 """
@@ -41,8 +51,10 @@ from .core import (
     Interval,
     InvariantError,
     TorsionPair,
+    _KEEP,
     _splits,
     _tables,
+    catalan,
     node_spans,
     size,
 )
@@ -64,14 +76,14 @@ def hom_nonzero(x: Interval, y: Interval, n: int) -> bool:
 
 def perp_right(objs, n: int) -> frozenset:
     """Balls receiving no nonzero Hom from any member of objs."""
-    balls, row, full, hom_from, *_ = _engine(n)
-    return _to_set(full & ~_union(_to_mask(objs, n, row), hom_from), balls)
+    balls, row, full, hom_from, _, _, _, sets, _ = _engine(n)
+    return _class_set(full & ~_union(_to_mask(objs, n, row), hom_from), balls, sets)
 
 
 def perp_left(objs, n: int) -> frozenset:
     """Balls sending no nonzero Hom to any member of objs."""
-    balls, row, full, _, hom_to, *_ = _engine(n)
-    return _to_set(full & ~_union(_to_mask(objs, n, row), hom_to), balls)
+    balls, row, full, _, hom_to, _, _, sets, _ = _engine(n)
+    return _class_set(full & ~_union(_to_mask(objs, n, row), hom_to), balls, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +93,11 @@ def perp_left(objs, n: int) -> frozenset:
 @lru_cache(maxsize=None)
 def _engine(n: int):
     """Per-ambient tables.  Bit i of a mask stands for balls[i], the balls in
-    sorted order, so ball [a, b] is bit row[a] + b."""
+    sorted order, so ball [a, b] is bit row[a] + b.
+
+    The last two are the class table: sets maps a mask to the frozenset of
+    its balls and pairs maps (tors, free) masks to their TorsionPair, or both
+    are None when the table is not kept."""
     balls = tuple(sorted(all_balls(n)))
     m = len(balls)
     full = (1 << m) - 1
@@ -109,7 +125,11 @@ def _engine(n: int):
                 top = row[x.a] + y.b
                 bottom = row[y.a] + x.b if y.a <= x.b else -1
                 ext.append((1 << i | 1 << j, 1 << top, bottom))
-    return balls, row, full, hom_from, hom_to, quot, tuple(ext)
+    # the class table (module docstring): at most 2 catalan(n) sets of up to
+    # n(n - 1)/2 balls, kept while that many ball references fit _KEEP
+    kept = catalan(n) * n * (n - 1) <= _KEEP
+    sets, pairs = ({}, {}) if kept else (None, None)
+    return balls, row, full, hom_from, hom_to, quot, tuple(ext), sets, pairs
 
 
 def _to_mask(objs, n, row):
@@ -126,6 +146,16 @@ def _to_set(mask, balls):
     return frozenset(compress(balls, map("1".__eq__, bin(mask)[:1:-1])))
 
 
+def _class_set(mask, balls, sets):
+    """_to_set(mask, balls), made once per mask while sets is kept."""
+    if sets is None:
+        return _to_set(mask, balls)
+    got = sets.get(mask)
+    if got is None:  # setdefault: of two racing threads, both get the first
+        got = sets.setdefault(mask, _to_set(mask, balls))
+    return got
+
+
 def _union(mask, table):
     """OR of table[i] over the set bits i of mask."""
     hit = 0
@@ -137,16 +167,29 @@ def _union(mask, table):
 
 
 def _generate_mask(seed_mask, n):
-    _, _, full, hom_from, hom_to, _, _ = _engine(n)
+    _, _, full, hom_from, hom_to, *_ = _engine(n)
     free = full & ~_union(seed_mask, hom_from)
     return full & ~_union(free, hom_to), free
 
 
 def torsion_generate(seed, n: int) -> TorsionPair:
     """Smallest torsion pair whose torsion class contains the seed."""
-    balls, row, *_ = _engine(n)
-    tors, free = _generate_mask(_to_mask(seed, n, row), n)
-    return TorsionPair(_to_set(tors, balls), _to_set(free, balls), n)
+    balls, row, _, _, _, _, _, sets, pairs = _engine(n)
+    tors, free = key = _generate_mask(_to_mask(seed, n, row), n)
+    if pairs is None:
+        return TorsionPair(_to_set(tors, balls), _to_set(free, balls), n)
+    got = pairs.get(key)  # keyed by both masks, so no wrong mask can hit
+    if got is None:
+        pair = TorsionPair(_class_set(tors, balls, sets), _class_set(free, balls, sets), n)
+        got = pairs.setdefault(key, pair)
+    return got
+
+
+def is_torsion_pair(tors, free, n: int) -> bool:
+    """Whether generation from the torsion class gives (tors, free) back."""
+    _, row, *_ = _engine(n)
+    tors_mask = _to_mask(tors, n, row)
+    return _generate_mask(tors_mask, n) == (tors_mask, _to_mask(free, n, row))
 
 
 def is_torsion_class(objs, n: int) -> bool:
@@ -156,16 +199,19 @@ def is_torsion_class(objs, n: int) -> bool:
 
 
 def _complete_mask(seed_mask, n):
-    _, _, _, _, _, quot, ext = _engine(n)
+    _, _, _, _, _, quot, ext, _, _ = _engine(n)
     mask = seed_mask
     while True:
-        grown = _union(mask, quot)  # quot[i] holds ball i itself
+        # quot[i] holds ball i and its transitive lower-right closure, so
+        # closed is closed under that rule; a pass adding no top to it found
+        # it closed under the extensions too
+        closed = grown = _union(mask, quot)
         for pair, top, bottom in ext:
             if grown & pair == pair and not grown & top:
                 if bottom < 0 or grown >> bottom & 1:
                     grown |= top
-        if grown == mask:
-            return mask
+        if grown == closed:
+            return closed
         mask = grown
 
 
@@ -178,8 +224,8 @@ def complete_torsion_hu(seed, n: int) -> frozenset:
     (c == b + 1); rectangles dipping two or more lines below are rejected.
     A valid rectangle contributes its top corner [a, d].
     """
-    balls, row, *_ = _engine(n)
-    return _to_set(_complete_mask(_to_mask(seed, n, row), n), balls)
+    balls, row, _, _, _, _, _, sets, _ = _engine(n)
+    return _class_set(_complete_mask(_to_mask(seed, n, row), n), balls, sets)
 
 
 # ---------------------------------------------------------------------------

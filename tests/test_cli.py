@@ -1,6 +1,8 @@
 """Command line behavior: verbs, formats, exit codes, conversion coherence."""
 
 import json
+import sys
+import tracemalloc
 
 import pytest
 
@@ -224,7 +226,7 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
 
 
 def test_verify_oracles_are_not_vacuous(monkeypatch):
-    from catbij import YoungDiagram, baseball, tree_to_perm
+    from catbij import YoungDiagram, baseball, torsion, tree_to_perm
     import catbij.verify as v
 
     def failed(report):
@@ -236,6 +238,37 @@ def test_verify_oracles_are_not_vacuous(monkeypatch):
     assert "bookshelf both ways" in failed(v.run_suite("roundtrips", 4))
     monkeypatch.setattr(v, "push_gaps", lambda g: YoungDiagram((), g.n))
     assert failed(v.run_suite("commutativity", 4)) == {"bookshelf == dyck route"}
+    # a closure applying only the quotient rule is caught with the class
+    # table warm, so a table hit cannot stand in for the closure's result
+    assert failed(v.verify_torsion(5)) == set()
+
+    def quot_only(mask, n):
+        return torsion._union(mask, torsion._engine(n)[5])
+
+    monkeypatch.setattr(torsion, "_complete_mask", quot_only)
+    assert failed(v.verify_torsion(5)) == {
+        "closure rules == perpendicular generation (all seeds, n <= 5)"
+    }
+    monkeypatch.undo()
+    torsion._engine.cache_clear()  # drop the non-classes the patch put in the table
+
+
+def test_enumerate_writes_in_small_chunks(monkeypatch):
+    # torsion lines at n = 10 are about 300 characters; chunks of 4,096 of
+    # them, each held at once as the list, the joined text and its copy,
+    # peaked at 5.5 MB
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "torsion", "--n", "10"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
 
 
 def test_chains(capsys):

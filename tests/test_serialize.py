@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -13,12 +14,14 @@ from catbij import (
     Node,
     NotAPermutationError,
     YoungDiagram,
+    all_balls,
     enumerate_dyck,
     enumerate_parens,
     enumerate_perms213,
     enumerate_torsion,
     enumerate_trees,
     enumerate_young,
+    hom_nonzero,
 )
 from catbij import core
 from catbij.serialize import (
@@ -129,6 +132,37 @@ def test_torsion_document_must_be_a_real_pair():
         deserialize_torsion('{"n": 4, "torsion": [[1]], "free": []}')
     with pytest.raises(InvariantError, match="bad interval"):
         deserialize_torsion('{"n": 6, "torsion": [[5, 2]], "free": []}')
+
+
+def test_torsion_documents_are_accepted_exactly_when_perpendicular():
+    # every torsion/free document of ambient <= 4 (2^6 x 2^6 of them at 4),
+    # against both perpendicularity clauses checked ball by ball
+    for n in range(5):
+        balls = sorted(all_balls(n))
+        subsets = [
+            frozenset(sub) for r in range(len(balls) + 1) for sub in combinations(balls, r)
+        ]
+        for tors in subsets:
+            for free in subsets:
+                perp = free == {
+                    y for y in balls if not any(hom_nonzero(x, y, n) for x in tors)
+                } and tors == {
+                    x for x in balls if not any(hom_nonzero(x, y, n) for y in free)
+                }
+                doc = json.dumps(
+                    {
+                        "n": n,
+                        "torsion": [[x.a, x.b] for x in sorted(tors)],
+                        "free": [[y.a, y.b] for y in sorted(free)],
+                    }
+                )
+                try:
+                    pair = deserialize_torsion(doc)
+                except InvariantError:
+                    assert not perp, doc
+                else:
+                    assert perp, doc
+                    assert (pair.torsion, pair.free, pair.n) == (tors, free, n)
 
 
 def test_short_torsion_document_builds_no_engine(monkeypatch):

@@ -148,6 +148,56 @@ def test_complete_equals_generate_all_seeds():
                 )
 
 
+def test_class_table_names_each_class_once():
+    # every seed at ambient 6 lands on one of catalan(6) pairs, and the
+    # many-to-one maps hand out one set object per class
+    from catbij.torsion import _engine
+
+    n = 6
+    *_, sets, pairs = _engine(n)
+    balls = sorted(all_balls(n))
+    for r in range(len(balls) + 1):
+        for seed in itertools.combinations(balls, r):
+            pair = torsion_generate(seed, n)
+            assert complete_torsion_hu(seed, n) is pair.torsion
+            assert perp_right(seed, n) is pair.free
+            left = perp_left(seed, n)
+            assert torsion_generate(left, n).torsion is left
+    assert len(pairs) == catalan(n)
+    tors = {p.torsion for p in pairs.values()}
+    free = {p.free for p in pairs.values()}
+    assert len(tors) == len(free) == catalan(n)
+    assert set(sets.values()) == tors | free
+    assert len(sets) == len(tors | free) <= 2 * catalan(n)
+
+
+def test_class_table_gives_one_set_per_class_and_is_not_kept_above_7():
+    seed, closed = iset((1, 2), (1, 3)), iset((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+    assert complete_torsion_hu(seed, 4) is complete_torsion_hu(closed, 4)
+    assert torsion_generate(seed, 4) is torsion_generate(closed, 4)
+    assert perp_left(perp_right(seed, 4), 4) is complete_torsion_hu(seed, 4)
+    # at ambient 8 the table would outgrow core._KEEP: fresh objects each call
+    a, b = torsion_generate(iset((1, 2)), 8), torsion_generate(iset((1, 2)), 8)
+    assert a == b and a is not b and a.torsion is not b.torsion
+    assert complete_torsion_hu(iset((1, 2)), 8) is not complete_torsion_hu(iset((1, 2)), 8)
+
+
+def test_bijections_and_deserialization_add_nothing_to_the_class_table():
+    from catbij.serialize import deserialize_torsion, serialize_torsion
+    from catbij.torsion import _engine
+
+    def sizes():
+        return [tuple(map(len, _engine(n)[-2:])) for n in range(8)]
+
+    before = sizes()
+    for n in range(8):
+        for t in enumerate_trees(n):
+            pair = tree_to_torsion(t)
+            assert deserialize_torsion(serialize_torsion(pair)) == pair
+        enumerate_torsion(n)
+    assert sizes() == before
+
+
 def test_tree_to_torsion_extremes():
     for n in range(2, 7):
         pair = tree_to_torsion(right_comb(n))
