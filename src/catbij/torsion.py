@@ -25,16 +25,22 @@ when decompose_rectangle gives it back from the class it recomposes to.
 
 Seed sweeps run over every subset of the triangle (2^15 subsets at n = 6), so
 the generation and closure cores work on bitmasks with per-ambient cached
-tables; the public functions convert at the boundary.  A sweep lands on few
-results: the ambient-n triangle has catalan(n) torsion classes and as many
-torsion-free classes, and torsion_generate, complete_torsion_hu, perp_right
-and perp_left only ever give one of those.  The engine's class table names
-each once, one frozenset per mask and one TorsionPair per (tors, free) pair
-of masks, so a class met again costs a dict lookup; the masks are still
-computed on every call.  The table is kept while its 2 catalan(n) sets of up
-to n(n - 1)/2 balls fit core._KEEP ball references, that is for n <= 7, and
-above that every call builds fresh objects.  tree_to_torsion and
-enumerate_torsion are bijections, so each result is new and a table would
+tables; the public functions convert at the boundary.  _union reads the Hom
+and quotient tables a byte of mask at a time, from one 256-entry table of
+unions per 8 balls.  A sweep lands on few results: the ambient-n triangle has
+catalan(n) torsion classes and as many torsion-free classes, and
+torsion_generate, complete_torsion_hu, perp_right and perp_left only ever
+give one of those.  The engine's class table names each once, one frozenset
+per mask and one TorsionPair per (tors, free) pair of masks, so a class met
+again costs a dict lookup; the masks are still computed on every call.  The
+closure of a seed depends only on the seed's quotient closure, which holds,
+of the balls [a, b] with one b, those from some least a on: b + 1 choices
+for each b, n! sets in all (720 at n = 6).  The engine's closures memo runs
+the extension rule once per such set.  The class table and the memo are
+kept while 2 catalan(n) sets of up to n(n - 1)/2 balls fit core._KEEP ball
+references, that is for n <= 7 (at most 7! = 5,040 closures); above that
+every call builds fresh objects and closes from scratch.  tree_to_torsion
+and enumerate_torsion are bijections, so each result is new and a table would
 only hold on to it: they build their own objects.  Enumeration joins the
 pairs' masks on the trees' split tables instead, in a layout of its own
 (_torsion_masks) that shifting a subtree's labels turns into a bit shift.
@@ -43,6 +49,7 @@ pairs' masks on the trees' split tables instead, in a layout of its own
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from typing import NamedTuple
 
 from .bookshelf import _gapped_from_heights, tree_from_profile
 from .core import (
@@ -76,31 +83,46 @@ def hom_nonzero(x: Interval, y: Interval, n: int) -> bool:
 
 def perp_right(objs, n: int) -> frozenset:
     """Balls receiving no nonzero Hom from any member of objs."""
-    balls, row, full, hom_from, _, _, _, sets, _ = _engine(n)
-    return _class_set(full & ~_union(_to_mask(objs, n, row), hom_from), balls, sets)
+    e = _engine(n)
+    return _class_set(e.full & ~_union(_to_mask(objs, n, e.row), e.hom_from), e)
 
 
 def perp_left(objs, n: int) -> frozenset:
     """Balls sending no nonzero Hom to any member of objs."""
-    balls, row, full, _, hom_to, _, _, sets, _ = _engine(n)
-    return _class_set(full & ~_union(_to_mask(objs, n, row), hom_to), balls, sets)
+    e = _engine(n)
+    return _class_set(e.full & ~_union(_to_mask(objs, n, e.row), e.hom_to), e)
 
 
 # ---------------------------------------------------------------------------
 # Bitmask engine
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _engine(n: int):
+class _Engine(NamedTuple):
     """Per-ambient tables.  Bit i of a mask stands for balls[i], the balls in
     sorted order, so ball [a, b] is bit row[a] + b.
 
-    The last two are the class table: sets maps a mask to the frozenset of
-    its balls and pairs maps (tors, free) masks to their TorsionPair, or both
-    are None when the table is not kept."""
+    hom_from, hom_to and quot are byte tables for _union.  The last three
+    are None when the class table is not kept: sets maps a mask to the
+    frozenset of its balls, pairs maps (tors, free) masks to their
+    TorsionPair and closures maps a quotient-closed mask to its closure
+    under both of complete_torsion_hu's rules."""
+
+    balls: tuple
+    row: list
+    full: int
+    hom_from: tuple
+    hom_to: tuple
+    quot: tuple
+    ext: tuple
+    sets: dict | None
+    pairs: dict | None
+    closures: dict | None
+
+
+@lru_cache(maxsize=None)
+def _engine(n: int) -> _Engine:
     balls = tuple(sorted(all_balls(n)))
     m = len(balls)
-    full = (1 << m) - 1
     row = [-1] * n  # [1, 1] is bit 0
     for a in range(2, n):
         row[a] = row[a - 1] + n - a  # row a - 1 holds n - a + 1 balls
@@ -125,17 +147,34 @@ def _engine(n: int):
                 top = row[x.a] + y.b
                 bottom = row[y.a] + x.b if y.a <= x.b else -1
                 ext.append((1 << i | 1 << j, 1 << top, bottom))
-    # the class table (module docstring): at most 2 catalan(n) sets of up to
-    # n(n - 1)/2 balls, kept while that many ball references fit _KEEP
+    # the class table and the closure memo (module docstring): at most
+    # 2 catalan(n) sets of up to n(n - 1)/2 balls, kept while that many ball
+    # references fit _KEEP
     kept = catalan(n) * n * (n - 1) <= _KEEP
-    sets, pairs = ({}, {}) if kept else (None, None)
-    return balls, row, full, hom_from, hom_to, quot, tuple(ext), sets, pairs
+    return _Engine(
+        balls, row, (1 << m) - 1,
+        _byte_tables(hom_from), _byte_tables(hom_to), _byte_tables(quot), tuple(ext),
+        *(({}, {}, {}) if kept else (None, None, None)),
+    )
+
+
+def _byte_tables(values):
+    """Entry v of table k is the OR of values[8k + j] over the set bits j of
+    v: one table per 8 bits of a mask, for _union."""
+    tables = []
+    for k in range(0, len(values), 8):
+        t = [0]
+        for x in values[k:k + 8]:
+            t += [v | x for v in t]  # entries with the new bit follow those without
+        tables.append(t)
+    return tuple(tables)
 
 
 def _to_mask(objs, n, row):
     mask = 0
     for x in objs:
-        x.check_ambient(n)
+        if x.b >= n:
+            x.check_ambient(n)  # raises, with the ball in its message
         mask |= 1 << (row[x.a] + x.b)
     return mask
 
@@ -146,73 +185,84 @@ def _to_set(mask, balls):
     return frozenset(compress(balls, map("1".__eq__, bin(mask)[:1:-1])))
 
 
-def _class_set(mask, balls, sets):
-    """_to_set(mask, balls), made once per mask while sets is kept."""
+def _class_set(mask, e):
+    """_to_set(mask, e.balls), made once per mask while e.sets is kept."""
+    sets = e.sets
     if sets is None:
-        return _to_set(mask, balls)
+        return _to_set(mask, e.balls)
     got = sets.get(mask)
     if got is None:  # setdefault: of two racing threads, both get the first
-        got = sets.setdefault(mask, _to_set(mask, balls))
+        got = sets.setdefault(mask, _to_set(mask, e.balls))
     return got
 
 
-def _union(mask, table):
-    """OR of table[i] over the set bits i of mask."""
+def _union(mask, tables):
+    """OR of the values behind the set bits of mask, read a byte at a time
+    from _byte_tables."""
     hit = 0
-    while mask:
-        low = mask & -mask
-        hit |= table[low.bit_length() - 1]
-        mask ^= low
+    for t in tables:
+        hit |= t[mask & 255]
+        mask >>= 8
     return hit
 
 
-def _generate_mask(seed_mask, n):
-    _, _, full, hom_from, hom_to, *_ = _engine(n)
-    free = full & ~_union(seed_mask, hom_from)
-    return full & ~_union(free, hom_to), free
+def _generate_mask(seed_mask, e):
+    free = e.full & ~_union(seed_mask, e.hom_from)
+    return e.full & ~_union(free, e.hom_to), free
 
 
 def torsion_generate(seed, n: int) -> TorsionPair:
     """Smallest torsion pair whose torsion class contains the seed."""
-    balls, row, _, _, _, _, _, sets, pairs = _engine(n)
-    tors, free = key = _generate_mask(_to_mask(seed, n, row), n)
-    if pairs is None:
-        return TorsionPair(_to_set(tors, balls), _to_set(free, balls), n)
-    got = pairs.get(key)  # keyed by both masks, so no wrong mask can hit
+    e = _engine(n)
+    tors, free = key = _generate_mask(_to_mask(seed, n, e.row), e)
+    if e.pairs is None:
+        return TorsionPair(_to_set(tors, e.balls), _to_set(free, e.balls), n)
+    got = e.pairs.get(key)  # keyed by both masks, so no wrong mask can hit
     if got is None:
-        pair = TorsionPair(_class_set(tors, balls, sets), _class_set(free, balls, sets), n)
-        got = pairs.setdefault(key, pair)
+        pair = TorsionPair(_class_set(tors, e), _class_set(free, e), n)
+        got = e.pairs.setdefault(key, pair)
     return got
 
 
 def is_torsion_pair(tors, free, n: int) -> bool:
     """Whether generation from the torsion class gives (tors, free) back."""
-    _, row, *_ = _engine(n)
-    tors_mask = _to_mask(tors, n, row)
-    return _generate_mask(tors_mask, n) == (tors_mask, _to_mask(free, n, row))
+    e = _engine(n)
+    tors_mask = _to_mask(tors, n, e.row)
+    return _generate_mask(tors_mask, e) == (tors_mask, _to_mask(free, n, e.row))
 
 
 def is_torsion_class(objs, n: int) -> bool:
-    _, row, *_ = _engine(n)
-    mask = _to_mask(objs, n, row)
-    return _generate_mask(mask, n)[0] == mask
+    e = _engine(n)
+    mask = _to_mask(objs, n, e.row)
+    return _generate_mask(mask, e)[0] == mask
 
 
-def _complete_mask(seed_mask, n):
-    _, _, _, _, _, quot, ext, _, _ = _engine(n)
-    mask = seed_mask
+def _extend(closed, ext):
+    """closed with the top of every rectangle ext finds in it."""
+    grown = closed
+    for pair, top, bottom in ext:
+        if grown & pair == pair and not grown & top:
+            if bottom < 0 or grown >> bottom & 1:
+                grown |= top
+    return grown
+
+
+def _complete_mask(seed_mask, e):
+    # quot holds each ball's transitive lower-right closure, so closed is
+    # closed under that rule, and the closure under both rules depends on
+    # closed alone: e.closures holds it once per quotient-closed mask
+    closed = _union(seed_mask, e.quot)
+    memo = e.closures
+    got = None if memo is None else memo.get(closed)
+    if got is not None:
+        return got
+    key = closed
     while True:
-        # quot[i] holds ball i and its transitive lower-right closure, so
-        # closed is closed under that rule; a pass adding no top to it found
-        # it closed under the extensions too
-        closed = grown = _union(mask, quot)
-        for pair, top, bottom in ext:
-            if grown & pair == pair and not grown & top:
-                if bottom < 0 or grown >> bottom & 1:
-                    grown |= top
-        if grown == closed:
-            return closed
-        mask = grown
+        grown = _extend(closed, e.ext)
+        if grown == closed:  # a pass adding no top: closed under both rules
+            break
+        closed = _union(grown, e.quot)
+    return closed if memo is None else memo.setdefault(key, closed)
 
 
 def complete_torsion_hu(seed, n: int) -> frozenset:
@@ -224,8 +274,8 @@ def complete_torsion_hu(seed, n: int) -> frozenset:
     (c == b + 1); rectangles dipping two or more lines below are rejected.
     A valid rectangle contributes its top corner [a, d].
     """
-    balls, row, _, _, _, _, _, sets, _ = _engine(n)
-    return _class_set(_complete_mask(_to_mask(seed, n, row), n), balls, sets)
+    e = _engine(n)
+    return _class_set(_complete_mask(_to_mask(seed, n, e.row), e), e)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +284,15 @@ def complete_torsion_hu(seed, n: int) -> frozenset:
 
 def tree_to_torsion(t: BinaryTree) -> TorsionPair:
     n = size(t)
-    balls, row, *_ = _engine(n)
+    e = _engine(n)
+    row = e.row
     tors = free = 0
     for i, m, j in node_spans(t):
         for a in range(i + 1, m + 1):  # the left child spans i..m
             tors |= 1 << (row[a] + m)
         if j > m + 1:  # the right child spans m+1..j; row[n] does not exist
             free |= ((1 << (j - m - 1)) - 1) << (row[m + 1] + m + 1)  # consecutive bits
-    return TorsionPair(_to_set(tors, balls), _to_set(free, balls), n)
+    return TorsionPair(_to_set(tors, e.balls), _to_set(free, e.balls), n)
 
 
 def _heights(objs, n: int) -> list:
@@ -302,7 +353,7 @@ def _torsion_masks(n: int):
 def enumerate_torsion(n: int) -> list:
     """All torsion pairs of the ambient-n triangle, in tree-canonical order."""
     at = [None] * (n * n)  # the engine's balls, at their _torsion_masks bits
-    for x in _engine(n)[0]:
+    for x in _engine(n).balls:
         at[(x.a - 1) * n + x.b - 1] = x
     return [TorsionPair(_to_set(t, at), _to_set(f, at), n) for t, f in _torsion_masks(n)]
 

@@ -242,8 +242,8 @@ def test_verify_oracles_are_not_vacuous(monkeypatch):
     # table warm, so a table hit cannot stand in for the closure's result
     assert failed(v.verify_torsion(5)) == set()
 
-    def quot_only(mask, n):
-        return torsion._union(mask, torsion._engine(n)[5])
+    def quot_only(mask, e):
+        return torsion._union(mask, e.quot)
 
     monkeypatch.setattr(torsion, "_complete_mask", quot_only)
     assert failed(v.verify_torsion(5)) == {
@@ -251,6 +251,18 @@ def test_verify_oracles_are_not_vacuous(monkeypatch):
     }
     monkeypatch.undo()
     torsion._engine.cache_clear()  # drop the non-classes the patch put in the table
+    # a closure memo filled by a correct run answers every seed up to
+    # ambient 5 without the extension pass; emptied with the engine, it
+    # leaves an extension pass that adds nothing to be caught
+    assert failed(v.verify_torsion(5)) == set()
+    monkeypatch.setattr(torsion, "_extend", lambda closed, ext: closed)
+    assert failed(v.verify_torsion(5)) == set()
+    torsion._engine.cache_clear()
+    assert failed(v.verify_torsion(5)) == {
+        "closure rules == perpendicular generation (all seeds, n <= 5)"
+    }
+    monkeypatch.undo()
+    torsion._engine.cache_clear()
 
 
 def test_enumerate_writes_in_small_chunks(monkeypatch):

@@ -36,6 +36,7 @@ from catbij import (
     tree_to_torsion,
     bookshelf_gapped,
 )
+from catbij.torsion import _engine, _union, is_torsion_pair
 
 
 def I(a, b):
@@ -83,6 +84,27 @@ def test_hom_antisymmetric_on_distinct_balls():
 def test_hom_ambient_mismatch():
     with pytest.raises(AmbientMismatchError):
         hom_nonzero(I(1, 5), I(1, 1), 4)
+
+
+def _is_pair_tors(objs, n):
+    return is_torsion_pair(objs, frozenset(), n)
+
+
+def _is_pair_free(objs, n):
+    return is_torsion_pair(frozenset(), objs, n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [complete_torsion_hu, torsion_generate, perp_right, perp_left, is_torsion_class,
+     _is_pair_tors, _is_pair_free],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("ball", [(2, 5), (5, 5), (1, 9)], ids=lambda b: f"{b[0]}_{b[1]}")
+def test_ball_outside_the_ambient_is_refused(call, ball):
+    # after a ball inside the ambient, so the refusal is not of the first
+    with pytest.raises(AmbientMismatchError, match=rf"^\[{ball[0]}, {ball[1]}\] outside ambient 5$"):
+        call((I(1, 1), I(*ball)), 5)
 
 
 def test_labeled_torsion_pair_validates():
@@ -151,10 +173,8 @@ def test_complete_equals_generate_all_seeds():
 def test_class_table_names_each_class_once():
     # every seed at ambient 6 lands on one of catalan(6) pairs, and the
     # many-to-one maps hand out one set object per class
-    from catbij.torsion import _engine
-
     n = 6
-    *_, sets, pairs = _engine(n)
+    sets, pairs = _engine(n).sets, _engine(n).pairs
     balls = sorted(all_balls(n))
     for r in range(len(balls) + 1):
         for seed in itertools.combinations(balls, r):
@@ -182,12 +202,82 @@ def test_class_table_gives_one_set_per_class_and_is_not_kept_above_7():
     assert complete_torsion_hu(iset((1, 2)), 8) is not complete_torsion_hu(iset((1, 2)), 8)
 
 
+def _closed_under_both_rules(objs):
+    """complete_torsion_hu's two rules, read off its docstring."""
+    for x in objs:
+        if x.a < x.b and I(x.a + 1, x.b) not in objs:  # lower-right
+            return False
+    for x in objs:
+        for y in objs:
+            if x.a < y.a and x.b < y.b and y.a <= x.b + 1:  # a rectangle
+                bottom_ok = y.a == x.b + 1 or I(y.a, x.b) in objs
+                if bottom_ok and I(x.a, y.b) not in objs:
+                    return False
+    return True
+
+
+def test_closure_memo_holds_each_quotient_closed_mask_once():
+    n = 6
+    balls = sorted(all_balls(n))
+
+    def to_set(mask):
+        return frozenset(x for i, x in enumerate(balls) if mask >> i & 1)
+
+    for r in range(len(balls) + 1):
+        for seed in itertools.combinations(balls, r):
+            complete_torsion_hu(seed, n)
+    closures = _engine(n).closures
+    # a quotient-closed set is its lowest member in each of the columns
+    # b = 1..n - 1 (b + 1 choices, none included): n! of them
+    assert len(closures) == 720
+    for key, value in closures.items():
+        seed, got = to_set(key), to_set(value)
+        assert all(x.a == x.b or I(x.a + 1, x.b) in seed for x in seed)
+        assert seed <= got and _closed_under_both_rules(got)
+        assert got == torsion_generate(seed, n).torsion
+    assert _engine(7).closures is not None
+    assert _engine(8).closures is None
+    seed = iset((1, 2), (3, 4))
+    assert complete_torsion_hu(seed, 8) == torsion_generate(seed, 8).torsion
+
+
+def test_union_reads_the_byte_tables_as_a_bit_at_a_time_or():
+    import random
+
+    def bit_at_a_time(mask, values):
+        hit = 0
+        for i, v in enumerate(values):
+            if mask >> i & 1:
+                hit |= v
+        return hit
+
+    rng = random.Random(1213)
+    for n in [*range(7), 12]:
+        balls = sorted(all_balls(n))
+
+        def bits(keep):
+            return sum(1 << j for j, y in enumerate(balls) if keep(y))
+
+        per_ball = {
+            "hom_from": [bits(lambda y: hom_nonzero(x, y, n)) for x in balls],
+            "hom_to": [bits(lambda y: hom_nonzero(y, x, n)) for x in balls],
+            "quot": [bits(lambda y: y.b == x.b and y.a >= x.a) for x in balls],
+        }
+        m = len(balls)
+        masks = range(1 << m) if n <= 6 else [rng.getrandbits(m) for _ in range(3000)]
+        for name, values in per_ball.items():
+            tables = getattr(_engine(n), name)
+            assert len(tables) == (m + 7) // 8  # none when there are no balls
+            for mask in masks:
+                assert _union(mask, tables) == bit_at_a_time(mask, values)
+
+
 def test_bijections_and_deserialization_add_nothing_to_the_class_table():
     from catbij.serialize import deserialize_torsion, serialize_torsion
-    from catbij.torsion import _engine
 
     def sizes():
-        return [tuple(map(len, _engine(n)[-2:])) for n in range(8)]
+        e = [_engine(n) for n in range(8)]
+        return [(len(x.sets), len(x.pairs), len(x.closures)) for x in e]
 
     before = sizes()
     for n in range(8):
