@@ -175,13 +175,8 @@ def cmd_chains(args) -> int:
 def cmd_lattice(args) -> int:
     if args.n is None or not (1 <= args.n <= 8):
         return _die("lattice needs --n in 1..8")
-    p = tamari.build_lattice(args.n)
-    doc = {
-        "n": args.n,
-        "nodes": [to_paren(t) for t in p.nodes],
-        "covers": sorted([to_paren(l), to_paren(u)] for (l, u) in p.covers),
-    }
-    print(json.dumps(doc))
+    nodes, covers = render.lattice_names(tamari.build_lattice(args.n))
+    print(json.dumps({"n": args.n, "nodes": nodes, "covers": covers}))
     return 0
 
 

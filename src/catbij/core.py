@@ -546,11 +546,14 @@ class YoungDiagram:
 
     def conjugate(self) -> tuple:
         """Column lengths, longest first."""
-        if not self.rows:
-            return ()
-        return tuple(
-            sum(1 for r in self.rows if r > c) for c in range(self.rows[0])
-        )
+        rows = self.rows
+        cols = []
+        k = len(rows)  # rows[:k] are the rows longer than c
+        for c in range(rows[0] if rows else 0):
+            while rows[k - 1] <= c:  # rows are weakly decreasing
+                k -= 1
+            cols.append(k)
+        return tuple(cols)
 
     def cell_count(self) -> int:
         return sum(self.rows)

@@ -55,22 +55,18 @@ def dyck_to_tree(p: DyckPath) -> BinaryTree:
 
 
 def dyck_to_young(p: DyckPath) -> YoungDiagram:
-    n = p.semilength
-    heights = []
-    h = 0
+    """Row j of the diagram holds the columns of at least j cells, those of
+    the right-steps below height n - j + 1: the right-steps before the
+    (n - j + 1)-th up-step.  One walk of the path, bottom row first."""
+    rows = []
+    rights = 0
     for c in p.steps:
         if c == "U":
-            h += 1
+            if rights:
+                rows.append(rights)
         else:
-            heights.append(h)
-    cols = [n - h for h in heights]
-    rows = []
-    for j in range(1, n + 1):
-        r = sum(1 for c in cols if c >= j)
-        if r == 0:
-            break
-        rows.append(r)
-    return YoungDiagram(tuple(rows), n)
+            rights += 1
+    return YoungDiagram(tuple(reversed(rows)), p.semilength)
 
 
 def _columns_to_dyck(cols, n: int) -> DyckPath:

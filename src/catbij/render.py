@@ -153,13 +153,22 @@ def render_wire_svg(t: BinaryTree) -> str:
     return _svg(width, height, body)
 
 
+def lattice_names(p: TamariPoset):
+    """The paren string of each node, in order, and the covers as sorted
+    (lower, upper) pairs of paren strings.  Each node is named once; a cover
+    tree outside the nodes is named where it is met."""
+    names = {t: to_paren(t) for t in p.nodes}
+    covers = ((names.get(l) or to_paren(l), names.get(u) or to_paren(u)) for (l, u) in p.covers)
+    return [names[t] for t in p.nodes], sorted(covers)
+
+
 def render_lattice_dot(p: TamariPoset) -> str:
     """Hasse diagram in DOT, node IDs being the paren strings."""
     lines = ["digraph tamari {", '  rankdir="BT";']
-    for t in p.nodes:
-        name = to_paren(t)
+    nodes, covers = lattice_names(p)
+    for name in nodes:
         lines.append(f'  "{name}" [shape=box];')
-    for (lo, hi) in sorted((to_paren(l), to_paren(u)) for (l, u) in p.covers):
+    for (lo, hi) in covers:
         lines.append(f'  "{lo}" -> "{hi}";')
     lines.append("}")
     return "\n".join(lines)

@@ -10,21 +10,28 @@ Schemas:
 Malformed documents raise MalformedDocumentError; documents that parse but
 break a type invariant raise InvariantError (or a subclass).  serialize and
 deserialize are mutually inverse on every valid object.  A torsion document
-is a pair exactly when generation gives it back from its torsion class,
-compared on ball masks (is_torsion_pair); ambient 0 has the one pair with
-no balls.
+is read straight into the two ball masks of torsion._engine(n), each ball
+checked as it is read; it is a pair exactly when generation gives it back
+from its torsion class, compared on those masks.  Ambient 0 has the one
+pair with no balls.
 
 quoted and int_array write what json.dumps writes on the strings and int
-sequences of valid objects, without its per-call cost.  enumeration_lines
-streams the documents of a whole enumeration: core's enumerators spell each
-tree, Dyck, Young or 213-avoider document as one join of JSON text pieces,
-and a torsion document joins the pieces of its two ball masks, read a byte
-at a time, so no object is built, checked or formatted per line.  The CLI
-takes every family to n <= 12 and passes that bound to deserialize_torsion.
+sequences of valid objects, without its per-call cost.  Torsion text has
+one writer, _torsion_writer(n): it joins the ", [a, b]" pieces of a pair's
+two ball masks, read a byte at a time from tables built once per ambient.
+enumeration_lines streams the documents of a whole enumeration: core's
+enumerators spell each tree, Dyck, Young or 213-avoider document as one
+join of JSON text pieces, and torsion documents come from that writer on
+the masks of the trees' split tables, so no object is built, checked or
+formatted per line.  The CLI takes every family to n <= 12 and passes that
+bound to deserialize_torsion.
 """
 
 import json
+from functools import lru_cache
+from itertools import starmap
 
+from . import torsion
 from .core import (
     LEAF,
     BinaryTree,
@@ -45,7 +52,6 @@ from .core import (
     to_paren,
 )
 from .errors import MalformedDocumentError
-from .torsion import _torsion_masks, is_torsion_pair
 
 
 def _load(text):
@@ -131,20 +137,10 @@ def deserialize_young(text: str) -> YoungDiagram:
 
 # -- torsion pairs ----------------------------------------------------------
 
-def _interval_from(doc):
-    if not (isinstance(doc, list) and len(doc) == 2 and all(map(_is_int, doc))):
-        raise MalformedDocumentError(f"bad interval {doc!r}; expected [a, b]")
-    return Interval(doc[0], doc[1])
-
-
 def serialize_torsion(tp: TorsionPair) -> str:
-    return json.dumps(
-        {
-            "n": tp.n,
-            "torsion": sorted([x.a, x.b] for x in tp.torsion),
-            "free": sorted([x.a, x.b] for x in tp.free),
-        }
-    )
+    n = tp.n
+    tors, free = (sum(1 << ((x.a - 1) * n + x.b - 1) for x in c) for c in (tp.torsion, tp.free))
+    return _torsion_writer(n)(tors, free)
 
 
 def deserialize_torsion(text: str, max_n=None) -> TorsionPair:
@@ -163,19 +159,40 @@ def deserialize_torsion(text: str, max_n=None) -> TorsionPair:
     n = doc["n"]
     if max_n is not None and n > max_n:
         raise InvariantError(f"n={n} out of bounds for torsion (0..{max_n})")
-    tors = frozenset(_interval_from(v) for v in doc["torsion"])
-    free = frozenset(_interval_from(v) for v in doc["free"])
-    pair = TorsionPair(tors, free, n)
+    # each class as the set of its balls' bits in torsion._engine(n), where
+    # ball [a, b] is bit row[a] + b = (a - 1) n - a (a + 1) / 2 + b; the
+    # masks wait for the ball count, so a huge n with few balls stays cheap
+    outside = None
+    classes = []
+    for balls in doc["torsion"], doc["free"]:
+        bits = set()
+        for v in balls:
+            if not (isinstance(v, list) and len(v) == 2 and type(v[0]) is type(v[1]) is int):
+                raise MalformedDocumentError(f"bad interval {v!r}; expected [a, b]")
+            a, b = v
+            if not 1 <= a <= b:
+                raise InvariantError(f"bad interval [{a}, {b}]")
+            if b >= n and outside is None:
+                outside = Interval(a, b)
+            bits.add((a - 1) * n - a * (a + 1) // 2 + b)
+        classes.append(bits)
+    if outside is not None:
+        outside.check_ambient(n)  # raises, naming the first such ball
+    tors, free = classes
+    if tors & free:
+        raise InvariantError("torsion and torsion-free classes intersect")
     # Each non-root node of a pair's tree puts at least one ball in a class,
     # so fewer than n - 1 balls are no pair; checked first, this also keeps a
     # short document from building the engine tables of a huge ambient.
     if len(tors) + len(free) < n - 1:
         raise InvariantError(f"document is not a torsion pair (too few balls for ambient {n})")
+    e = torsion._engine(n)
+    tors, free = (sum(1 << k for k in bits) for bits in classes)
     # a pair is what generation gives back from its torsion class: the free
     # class is tors-perp and the torsion class is perp of that
-    if not is_torsion_pair(tors, free, n):
+    if torsion._generate_mask(tors, e) != (tors, free):
         raise InvariantError("document is not a torsion pair (perpendicularity fails)")
-    return pair
+    return TorsionPair(torsion._to_set(tors, e.balls), torsion._to_set(free, e.balls), n)
 
 
 # -- permutations -----------------------------------------------------------
@@ -200,12 +217,14 @@ def _after(v: int) -> str:
     return ", " + str(v)
 
 
-def _torsion_lines(n: int):
-    """serialize_torsion of every pair of enumerate_torsion(n), in order,
-    read off the masks of _torsion_masks a byte at a time: spelled[k][v] is
-    the ", [a, b]" pieces of the balls set in the value v of byte k."""
+@lru_cache(maxsize=None)
+def _torsion_writer(n: int):
+    """The serialize_torsion text of an ambient-n pair from its (tors, free)
+    masks with ball [a, b] at bit (a - 1) * n + (b - 1), read a byte at a
+    time: spelled[k][v] is the ", [a, b]" pieces of the balls set in the
+    value v of byte k.  The bits in order are the balls in sorted order."""
     width = (n * n + 7) // 8
-    # ball [a, b] is bit (a - 1) * n + (b - 1); the bits of no ball stay clear
+    # the bits of no ball stay clear
     pieces = [f", [{k // n + 1}, {k % n + 1}]" for k in range(8 * width)]
     spelled = []
     for k in range(0, len(pieces), 8):
@@ -214,10 +233,13 @@ def _torsion_lines(n: int):
             byte += [s + piece for s in byte]
         spelled.append(byte)
     get = list.__getitem__
-    for tors, free in _torsion_masks(n):
+
+    def write(tors, free):
         t = "".join(map(get, spelled, tors.to_bytes(width, "little")))
         f = "".join(map(get, spelled, free.to_bytes(width, "little")))
-        yield f'{{"n": {n}, "torsion": [{t[2:]}], "free": [{f[2:]}]}}'
+        return f'{{"n": {n}, "torsion": [{t[2:]}], "free": [{f[2:]}]}}'
+
+    return write
 
 
 def enumeration_lines(family: str, n: int):
@@ -232,5 +254,5 @@ def enumeration_lines(family: str, n: int):
     if family == "perm213":
         return _perms213(n, Spelling("[", str, _after, "]"))
     if family == "torsion":
-        return _torsion_lines(n)
+        return starmap(_torsion_writer(n), torsion._torsion_masks(n))
     raise ValueError(f"unknown family {family!r}")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .core import BinaryTree, InvariantError, enumerate_trees, node_spans, size
 from .dyck import _ends, _from_ends, dyck_to_tree
-from .torsion import tree_to_torsion
+from .torsion import _engine, _tree_masks
 
 
 def _rotations(t: BinaryTree):
@@ -156,9 +156,13 @@ def count_maximal_chains(n: int) -> int:
 
 
 def verify_order_reversing(n: int) -> bool:
-    """Each cover strictly shrinks the torsion class."""
+    """Each cover strictly shrinks the torsion class: its mask is a proper
+    subset of the mask below it."""
     nodes = enumerate_trees(n)
-    tors = [tree_to_torsion(t).torsion for t in nodes]
+    e = _engine(n)
+    tors = [_tree_masks(t, e)[0] for t in nodes]
     return all(
-        tors[j] < low for low, up in zip(tors, _cover_indices(nodes)) for j in up
+        tors[j] | low == low != tors[j]
+        for low, up in zip(tors, _cover_indices(nodes))
+        for j in up
     )

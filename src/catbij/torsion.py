@@ -23,9 +23,13 @@ pair of ball sets is a torsion pair exactly when torsion_generate gives it
 back from its torsion class, and a RectangleSplit is a decomposition exactly
 when decompose_rectangle gives it back from the class it recomposes to.
 
-Seed sweeps run over every subset of the triangle (2^15 subsets at n = 6), so
-the generation and closure cores work on bitmasks with per-ambient cached
-tables; the public functions convert at the boundary.  _union reads the Hom
+Every map here works on ball masks with per-ambient cached tables
+(_engine): generation and closure, which seed sweeps run over every subset
+of the triangle (2^15 subsets at n = 6), tree <-> class (one walk,
+_tree_masks), column heights (the lowest set bit of each ball column), the
+rectangle split and the Tamari order check.  The public functions convert
+once, at the boundary, and their result sets are the engine's own Interval
+objects (_to_set), so no ball is built again.  _union reads the Hom
 and quotient tables a byte of mask at a time, from one 256-entry table of
 unions per 8 balls.  A sweep lands on few results: the ambient-n triangle has
 catalan(n) torsion classes and as many torsion-free classes, and
@@ -39,11 +43,13 @@ for each b, n! sets in all (720 at n = 6).  The engine's closures memo runs
 the extension rule once per such set.  The class table and the memo are
 kept while 2 catalan(n) sets of up to n(n - 1)/2 balls fit core._KEEP ball
 references, that is for n <= 7 (at most 7! = 5,040 closures); above that
-every call builds fresh objects and closes from scratch.  tree_to_torsion
-and enumerate_torsion are bijections, so each result is new and a table would
-only hold on to it: they build their own objects.  Enumeration joins the
+every call builds fresh sets and closes from scratch.  tree_to_torsion,
+enumerate_torsion, the rectangle split and serialize's reader meet each
+result about once, so a table would only hold on to it: they build their
+own sets and pairs, of the engine's balls.  Enumeration joins the
 pairs' masks on the trees' split tables instead, in a layout of its own
-(_torsion_masks) that shifting a subtree's labels turns into a bit shift.
+(_torsion_masks) that shifting a subtree's labels turns into a bit shift;
+it is also the layout serialize writes torsion text from.
 """
 
 from dataclasses import dataclass
@@ -99,7 +105,10 @@ def perp_left(objs, n: int) -> frozenset:
 
 class _Engine(NamedTuple):
     """Per-ambient tables.  Bit i of a mask stands for balls[i], the balls in
-    sorted order, so ball [a, b] is bit row[a] + b.
+    sorted order, so ball [a, b] is bit row[a] + b, with
+    row[a] = (a - 1) n - a (a + 1) / 2 for a = 0..n: ball column d + 1 starts
+    at bit row[d] + n, and from there on the columns have the layout of
+    ambient n - d, labels lowered by d.  ending[b] holds the balls [a, b].
 
     hom_from, hom_to and quot are byte tables for _union.  The last three
     are None when the class table is not kept: sets maps a mask to the
@@ -109,6 +118,7 @@ class _Engine(NamedTuple):
 
     balls: tuple
     row: list
+    ending: list
     full: int
     hom_from: tuple
     hom_to: tuple
@@ -123,9 +133,8 @@ class _Engine(NamedTuple):
 def _engine(n: int) -> _Engine:
     balls = tuple(sorted(all_balls(n)))
     m = len(balls)
-    row = [-1] * n  # [1, 1] is bit 0
-    for a in range(2, n):
-        row[a] = row[a - 1] + n - a  # row a - 1 holds n - a + 1 balls
+    row = [(a - 1) * n - a * (a + 1) // 2 for a in range(n + 1)]  # column a holds n - a
+    ending = [sum(1 << (row[a] + b) for a in range(1, b + 1)) for b in range(n)]
     hom_from = [0] * m
     hom_to = [0] * m
     for i, x in enumerate(balls):
@@ -152,7 +161,7 @@ def _engine(n: int) -> _Engine:
     # references fit _KEEP
     kept = catalan(n) * n * (n - 1) <= _KEEP
     return _Engine(
-        balls, row, (1 << m) - 1,
+        balls, row, ending, (1 << m) - 1,
         _byte_tables(hom_from), _byte_tables(hom_to), _byte_tables(quot), tuple(ext),
         *(({}, {}, {}) if kept else (None, None, None)),
     )
@@ -282,34 +291,44 @@ def complete_torsion_hu(seed, n: int) -> frozenset:
 # Trees <-> torsion classes
 # ---------------------------------------------------------------------------
 
+def _tree_masks(t: BinaryTree, e: _Engine):
+    """The (tors, free) masks of tree t in e, the engine of its size."""
+    row, ending, n = e.row, e.ending, t.size
+    tors = free = 0
+    for i, m, j in node_spans(t):
+        low = row[i] + n  # the left child spans i..m: balls [a, m], a > i
+        tors |= ending[m] >> low << low
+        # the right child spans m+1..j: balls [m+1, b], b < j, consecutive bits
+        free |= ((1 << (j - m - 1)) - 1) << (row[m] + n)
+    return tors, free
+
+
 def tree_to_torsion(t: BinaryTree) -> TorsionPair:
     n = size(t)
     e = _engine(n)
-    row = e.row
-    tors = free = 0
-    for i, m, j in node_spans(t):
-        for a in range(i + 1, m + 1):  # the left child spans i..m
-            tors |= 1 << (row[a] + m)
-        if j > m + 1:  # the right child spans m+1..j; row[n] does not exist
-            free |= ((1 << (j - m - 1)) - 1) << (row[m + 1] + m + 1)  # consecutive bits
+    tors, free = _tree_masks(t, e)
     return TorsionPair(_to_set(tors, e.balls), _to_set(free, e.balls), n)
 
 
-def _heights(objs, n: int) -> list:
+def _heights(mask, n: int) -> list:
     """Cells over each tilted column: column a - 1 has height n - b, where
-    [a, b] is the lowest member of ball column a (0 for an empty column)."""
+    [a, b] is the lowest member of ball column a (0 for an empty column),
+    the lowest set bit of the column's n - a bits."""
     heights = [0] * n
-    for x in objs:
-        heights[x.a - 1] = max(heights[x.a - 1], n - x.b)
+    for a in range(1, n):
+        low = mask & -mask & (1 << (n - a)) - 1  # [a, a + k] is bit k
+        if low:
+            heights[a - 1] = n - a + 1 - low.bit_length()
+        mask >>= n - a
     return heights
 
 
-def _class_heights(objs, n: int) -> list:
-    """_heights of a torsion class; InvariantError for any other set."""
-    objs = frozenset(objs)
-    if not is_torsion_class(objs, n):
+def _class_mask(objs, n: int, e: _Engine):
+    """The mask of a torsion class; InvariantError for any other set."""
+    mask = _to_mask(objs, n, e.row)
+    if _generate_mask(mask, e)[0] != mask:
         raise InvariantError("input set is not a torsion class")
-    return _heights(objs, n)
+    return mask
 
 
 def torsion_to_tree(objs, n: int) -> BinaryTree:
@@ -318,7 +337,7 @@ def torsion_to_tree(objs, n: int) -> BinaryTree:
     The class's column heights are the tree's column_profile, and the tree
     is rebuilt from them through the Dyck path.
     """
-    return tree_from_profile(_class_heights(objs, n))
+    return tree_from_profile(_heights(_class_mask(objs, n, _engine(n)), n))
 
 
 def _torsion_masks(n: int):
@@ -361,7 +380,7 @@ def enumerate_torsion(n: int) -> list:
 def torsion_to_gapped_young(objs, n: int) -> GappedYoungDiagram:
     """Boxes on the lowest member of each ascending column and every ball
     above it; ball [a, b] occupies the tilted cell (n - b, a - 1)."""
-    return _gapped_from_heights(_class_heights(objs, n), n)
+    return _gapped_from_heights(_heights(_class_mask(objs, n, _engine(n)), n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -388,37 +407,42 @@ class RectangleSplit:
 def decompose_rectangle(objs, n: int) -> RectangleSplit:
     """Split a torsion class around the largest apex rectangle whose bottom
     corner is a member simple ball."""
-    objs = frozenset(objs)
-    heights = _class_heights(objs, n)
-    if not objs:
+    e = _engine(n)
+    mask = _class_mask(objs, n, e)
+    if not mask:
         return RectangleSplit(0, 0, frozenset(), frozenset(), frozenset())
+    heights = _heights(mask, n)
+    row = e.row
     s = next(c for c, h in enumerate(heights) if h)
     fits = [
         k
         for k in range(1, n - s)
-        if Interval(s + k, s + k) in objs and min(heights[s : s + k]) >= n - s - k
+        if mask >> (row[s + k] + s + k) & 1 and min(heights[s : s + k]) >= n - s - k
     ]
     k = max(fits, key=lambda k: k * (n - s - k))  # the first with the most boxes
-    rect = frozenset(
-        Interval(a, b) for a in range(s + 1, s + k + 1) for b in range(s + k, n)
+    d = s + k
+    rect = 0
+    for a in range(s + 1, d + 1):  # ball column a from [a, d] up
+        rect |= ((1 << (n - d)) - 1) << (row[a] + d)
+    cut = row[d] + n  # ball [d + 1, d + 1]
+    left = mask & ~rect & ((1 << cut) - 1)
+    return RectangleSplit(
+        s, k, _to_set(rect, e.balls), _to_set(left, e.balls),
+        _to_set(mask >> cut, _engine(n - d).balls),
     )
-    left = frozenset(x for x in objs if x.b <= s + k - 1)
-    right = frozenset(
-        Interval(x.a - s - k, x.b - s - k) for x in objs if x.a >= s + k + 1
-    )
-    return RectangleSplit(s, k, rect, left, right)
 
 
 def recompose_rectangle(split: RectangleSplit, n: int) -> frozenset:
     """Inverse of decompose_rectangle, through the column heights of the
     pieces; InvariantError when decompose_rectangle does not give the split
     back from the class they rebuild."""
+    e = _engine(n)
     shift = split.skipped + split.width
-    right = {Interval(x.a + shift, x.b + shift) for x in split.right}
-    pieces = split.left | split.rectangle | right
-    for x in pieces:
-        x.check_ambient(n)
-    objs = tree_to_torsion(tree_from_profile(_heights(pieces, n))).torsion
+    if not 0 <= shift <= n:
+        raise InvariantError("split is not a rectangle decomposition")
+    right = _to_mask(split.right, n - shift, _engine(n - shift).row)
+    pieces = _to_mask(split.left | split.rectangle, n, e.row) | right << (e.row[shift] + n)
+    objs = _to_set(_tree_masks(tree_from_profile(_heights(pieces, n)), e)[0], e.balls)
     if decompose_rectangle(objs, n) != split:
         raise InvariantError("split is not a rectangle decomposition")
     return objs

@@ -111,3 +111,26 @@ def test_young_to_dyck_requires_staircase_fit():
     # same rows fit a bigger ambient and convert fine
     assert young_to_dyck(YoungDiagram((2,), 4)).steps == "UUURRURR"
     assert dyck_to_young(DyckPath("UUURRURR")).rows == (2,)
+
+
+def young_rows_by_counting(p):
+    """Row j counts the columns of at least j cells, each column counted
+    against every row: the quadratic reference."""
+    n = p.semilength
+    cols, h = [], 0
+    for c in p.steps:
+        if c == "U":
+            h += 1
+        else:
+            cols.append(n - h)
+    return tuple(r for r in (sum(1 for c in cols if c >= j) for j in range(1, n + 1)) if r)
+
+
+def test_young_legs_match_the_quadratic_count():
+    for n in range(10):
+        for w in enumerate_dyck(n):
+            y = dyck_to_young(DyckPath(w))
+            assert y.rows == young_rows_by_counting(DyckPath(w))
+            rows = y.rows
+            want = tuple(sum(1 for r in rows if r > c) for c in range(rows[0] if rows else 0))
+            assert y.conjugate() == want

@@ -4,11 +4,13 @@ import xml.etree.ElementTree as ET
 
 from catbij import (
     Interval,
+    TamariPoset,
     TorsionPair,
     YoungDiagram,
     build_lattice,
     enumerate_trees,
     from_paren,
+    to_paren,
 )
 from catbij.render import (
     BLUE,
@@ -73,3 +75,36 @@ def test_rendering_is_deterministic():
             assert render_wire_svg(t) == render_wire_svg(t)
     p = build_lattice(3)
     assert render_lattice_dot(p) == render_lattice_dot(p)
+
+
+def test_lattice_names_each_node_once(monkeypatch):
+    import catbij.render as render
+
+    p = build_lattice(5)
+    calls = []
+    monkeypatch.setattr(render, "to_paren", lambda t: calls.append(t) or to_paren(t))
+    dot = render_lattice_dot(p)
+    assert len(calls) == len(p.nodes)
+    monkeypatch.undo()
+    assert dot == dot_naming_every_tree(p)
+
+
+def dot_naming_every_tree(p):
+    """render_lattice_dot as it named a tree at each use: the reference."""
+    lines = ["digraph tamari {", '  rankdir="BT";']
+    lines += [f'  "{to_paren(t)}" [shape=box];' for t in p.nodes]
+    covers = sorted((to_paren(l), to_paren(u)) for (l, u) in p.covers)
+    lines += [f'  "{lo}" -> "{hi}";' for lo, hi in covers]
+    return "\n".join(lines + ["}"])
+
+
+def test_lattice_dot_names_cover_trees_outside_the_nodes():
+    # a hand-built poset: its covers still name the size-3 bottom and top,
+    # which are no nodes
+    full = build_lattice(3)
+    ends = {full.bottom(), full.top()}
+    p = TamariPoset(tuple(t for t in full.nodes if t not in ends), full.covers)
+    dot = render_lattice_dot(p)
+    assert dot == dot_naming_every_tree(p)
+    for t in ends:
+        assert f'"{to_paren(t)}"' in dot and f'"{to_paren(t)}" [shape=box]' not in dot

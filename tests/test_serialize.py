@@ -1,12 +1,14 @@
 """JSON round trips and error reporting for every family."""
 
 import json
+import random
 import tracemalloc
 from itertools import combinations
 
 import pytest
 
 from catbij import (
+    AmbientMismatchError,
     DyckPath,
     InvariantError,
     LEAF,
@@ -23,7 +25,7 @@ from catbij import (
     enumerate_young,
     hom_nonzero,
 )
-from catbij import core
+from catbij import core, torsion
 from catbij.serialize import (
     deserialize_dyck,
     deserialize_perm,
@@ -165,6 +167,78 @@ def test_torsion_documents_are_accepted_exactly_when_perpendicular():
                     assert (pair.torsion, pair.free, pair.n) == (tors, free, n)
 
 
+# each faulty document with the error it gets and its message, in the order
+# the reader checks: shape, each ball's shape and order, the ambient (first
+# offending ball), overlap, the ball count, then perpendicularity
+SHAPE = 'torsion document must be {"n", "torsion", "free"}, got '
+TOO_FEW = "document is not a torsion pair (too few balls for ambient 5)"
+FAULTY_TORSION = [
+    ("nope", None, MalformedDocumentError,
+     "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[]", None, MalformedDocumentError, SHAPE + "[]"),
+    ('{"n": 4, "torsion": [[1, 2]]}', None, MalformedDocumentError,
+     SHAPE + "{'n': 4, 'torsion': [[1, 2]]}"),
+    ('{"n": true, "torsion": [], "free": []}', None, MalformedDocumentError,
+     SHAPE + "{'n': True, 'torsion': [], 'free': []}"),
+    ('{"n": 4, "torsion": [[1]], "free": []}', None, MalformedDocumentError,
+     "bad interval [1]; expected [a, b]"),
+    ('{"n": 4, "torsion": [], "free": [[1, 2, 3]]}', None, MalformedDocumentError,
+     "bad interval [1, 2, 3]; expected [a, b]"),
+    ('{"n": 4, "torsion": [[true, 1]], "free": []}', None, MalformedDocumentError,
+     "bad interval [True, 1]; expected [a, b]"),
+    ('{"n": 4, "torsion": [[1.0, 2]], "free": []}', None, MalformedDocumentError,
+     "bad interval [1.0, 2]; expected [a, b]"),
+    ('{"n": 4, "torsion": ["x"], "free": []}', None, MalformedDocumentError,
+     "bad interval 'x'; expected [a, b]"),
+    ('{"n": 6, "torsion": [[5, 2]], "free": []}', None, InvariantError, "bad interval [5, 2]"),
+    ('{"n": 6, "torsion": [[0, 1]], "free": []}', None, InvariantError, "bad interval [0, 1]"),
+    ('{"n": 4, "torsion": [[3, 2]], "free": [[1]]}', None, InvariantError,
+     "bad interval [3, 2]"),
+    ('{"n": 4, "torsion": [[1, 9]], "free": [[3, 2]]}', None, InvariantError,
+     "bad interval [3, 2]"),
+    ('{"n": 4, "torsion": [[1, 1], [1, 4]], "free": []}', None, AmbientMismatchError,
+     "[1, 4] outside ambient 4"),
+    ('{"n": -1, "torsion": [[1, 1]], "free": []}', None, AmbientMismatchError,
+     "[1, 1] outside ambient -1"),
+    ('{"n": 3, "torsion": [[1, 1]], "free": [[1, 1]]}', None, InvariantError,
+     "torsion and torsion-free classes intersect"),
+    ('{"n": 40, "torsion": [[2, 3]], "free": [[2, 3]]}', None, InvariantError,
+     "torsion and torsion-free classes intersect"),
+    ('{"n": 5, "torsion": [[1, 1]], "free": []}', None, InvariantError, TOO_FEW),
+    ('{"n": 5, "torsion": [[1, 1], [1, 1], [1, 1]], "free": [[2, 2]]}', None, InvariantError,
+     TOO_FEW),
+    ('{"n": 4, "torsion": [[1, 2]], "free": [[1, 1], [3, 3]]}', None, InvariantError,
+     "document is not a torsion pair (perpendicularity fails)"),
+    ('{"n": -1, "torsion": [], "free": []}', None, InvariantError, "ambient must be >= 0"),
+    ('{"n": 13, "torsion": [], "free": []}', 12, InvariantError,
+     "n=13 out of bounds for torsion (0..12)"),
+]
+
+
+@pytest.mark.parametrize("text, max_n, error, message", FAULTY_TORSION)
+def test_faulty_torsion_documents_get_their_error(text, max_n, error, message):
+    with pytest.raises(error) as got:
+        deserialize_torsion(text, max_n)
+    assert type(got.value) is error and str(got.value) == message
+
+
+def test_the_first_ball_outside_the_ambient_is_named():
+    # in document order, torsion before free, whatever the set order
+    doc = '{"n": 4, "torsion": [[1, 1], [%s]], "free": [[%s]]}'
+    for first, second in [("2, 5", "1, 9"), ("1, 9", "2, 5"), ("4, 4", "1, 4")]:
+        with pytest.raises(AmbientMismatchError, match=rf"^\[{first}\] outside ambient 4$"):
+            deserialize_torsion(doc % (first, second))
+
+
+def test_deserialized_balls_are_the_engine_balls():
+    for n in range(9):
+        balls = torsion._engine(n).balls
+        for t in enumerate_trees(n):
+            pair = deserialize_torsion(serialize_torsion(tree_to_torsion(t)))
+            for x in pair.torsion | pair.free:
+                assert balls[balls.index(x)] is x
+
+
 def test_short_torsion_document_builds_no_engine(monkeypatch):
     # a pair of ambient n has at least n - 1 balls; a shorter document is
     # rejected before the bitmask tables of its ambient are built
@@ -200,6 +274,31 @@ def test_torsion_lines_at_n10_are_the_serialized_pairs():
     # from the mask tables the lines are read off
     want = [serialize_torsion(tree_to_torsion(t)) for t in enumerate_trees(10)]
     assert list(enumeration_lines("torsion", 10)) == want
+
+
+def random_tree(rng, n):
+    if n == 0:
+        return LEAF
+    k = rng.randrange(n)
+    return Node(random_tree(rng, k), random_tree(rng, n - 1 - k))
+
+
+def test_serialize_torsion_writes_what_json_dumps_writes():
+    # an oracle apart from the shared writer: json.dumps of the sorted balls
+    def dumped(pair):
+        return json.dumps(
+            {
+                "n": pair.n,
+                "torsion": sorted([x.a, x.b] for x in pair.torsion),
+                "free": sorted([x.a, x.b] for x in pair.free),
+            }
+        )
+
+    rng = random.Random(14)
+    for n in list(range(9)) + [10] * 300 + [12] * 300:
+        pairs = enumerate_torsion(n) if n <= 8 else [tree_to_torsion(random_tree(rng, n))]
+        for pair in pairs:
+            assert serialize_torsion(pair) == dumped(pair)
 
 
 @pytest.mark.parametrize("family", ["tree", "perm213", "torsion"])

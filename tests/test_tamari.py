@@ -311,3 +311,22 @@ def test_perm_relabeled_lattice_is_isomorphic():
 def test_build_lattice_rejects_zero():
     with pytest.raises(InvariantError):
         build_lattice(0)
+
+
+@pytest.mark.parametrize("drop", ["lowest", "highest"])
+def test_order_reversing_fails_without_one_torsion_ball(monkeypatch, drop):
+    # the check compares masks; with one torsion bit gone from every tree,
+    # some cover no longer shrinks the class strictly, so it cannot be vacuous
+    import catbij.tamari as tamari
+
+    masks = tamari._tree_masks
+
+    def one_bit_short(t, e):
+        tors, free = masks(t, e)
+        bit = tors & -tors if drop == "lowest" else 1 << tors.bit_length() >> 1
+        return tors & ~bit, free
+
+    monkeypatch.setattr(tamari, "_tree_masks", one_bit_short)
+    assert verify_order_reversing(1)  # no cover
+    for n in range(2, 8):
+        assert not verify_order_reversing(n)

@@ -456,12 +456,56 @@ def test_recompose_rejects_a_split_that_is_no_decomposition():
         RectangleSplit(0, 0, frozenset(), iset((1, 1)), frozenset()),
         # the true split of {[1, 1]}, with five columns skipped that are not
         RectangleSplit(5, 1, iset((1, 1)), frozenset(), frozenset()),
+        # and with a negative count of skipped columns
+        RectangleSplit(-3, 1, iset((1, 1)), frozenset(), frozenset()),
     ],
-    ids=["empty-rectangle", "wrong-skip"],
+    ids=["empty-rectangle", "wrong-skip", "negative-skip"],
 )
 def test_recompose_rejects_splits_decomposition_does_not_give_back(split):
     assert decompose_rectangle(iset((1, 1)), 2) == RectangleSplit(
         0, 1, iset((1, 1)), frozenset(), frozenset()
     )
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^split is not a rectangle decomposition$"):
         recompose_rectangle(split, 2)
+
+
+def heights_of(objs, n):
+    heights = [0] * n
+    for x in objs:
+        heights[x.a - 1] = max(heights[x.a - 1], n - x.b)
+    return heights
+
+
+def decompose_by_sets(objs, n):
+    """decompose_rectangle on Interval sets, ball by ball: the reference."""
+    heights = heights_of(objs, n)
+    if not objs:
+        return RectangleSplit(0, 0, frozenset(), frozenset(), frozenset())
+    s = next(c for c, h in enumerate(heights) if h)
+    fits = [
+        k
+        for k in range(1, n - s)
+        if I(s + k, s + k) in objs and min(heights[s : s + k]) >= n - s - k
+    ]
+    k = max(fits, key=lambda k: k * (n - s - k))
+    rect = frozenset(I(a, b) for a in range(s + 1, s + k + 1) for b in range(s + k, n))
+    left = frozenset(x for x in objs if x.b <= s + k - 1)
+    right = frozenset(I(x.a - s - k, x.b - s - k) for x in objs if x.a >= s + k + 1)
+    return RectangleSplit(s, k, rect, left, right)
+
+
+def recompose_by_sets(split, n):
+    shift = split.skipped + split.width
+    right = {I(x.a + shift, x.b + shift) for x in split.right}
+    pieces = split.left | split.rectangle | right
+    from catbij.bookshelf import tree_from_profile
+
+    return tree_to_torsion(tree_from_profile(heights_of(pieces, n))).torsion
+
+
+def test_rectangle_split_matches_the_interval_set_algorithm():
+    for n in range(9):
+        for pair in enumerate_torsion(n):
+            split = decompose_rectangle(pair.torsion, n)
+            assert split == decompose_by_sets(pair.torsion, n)
+            assert recompose_rectangle(split, n) == recompose_by_sets(split, n) == pair.torsion
