@@ -51,6 +51,7 @@ from .dyck import dyck_to_tree, dyck_to_young, tree_to_dyck, young_to_dyck
 from .errors import (
     AmbientMismatchError,
     CatbijError,
+    FrozenInstanceError,
     InvariantError,
     MalformedDocumentError,
     NotAPermutationError,

@@ -21,30 +21,30 @@ gap-insertion inverse, a backtracking search over tight rows
 (rows[t-1] + t == n), is kept in verify as an oracle for inverse_bookshelf.
 """
 
-from dataclasses import dataclass
-
 from .core import (
     BinaryTree,
     GappedYoungDiagram,
     InvariantError,
     TreeCoordinate,
     YoungDiagram,
+    _Record,
+    _set,
     node_spans,
     size,
 )
 from .dyck import _columns_to_dyck, dyck_to_tree, dyck_to_young, tree_to_dyck, young_to_dyck
 
 
-@dataclass(frozen=True)
-class Shelf:
+class Shelf(_Record):
     """A maximal descending branch segment, excluding the ceiling."""
 
-    start: TreeCoordinate
-    end: TreeCoordinate
+    __slots__ = __match_args__ = ("start", "end")
 
-    def __post_init__(self):
-        if self.start.x != self.end.x or self.end.y <= self.start.y:
-            raise InvariantError(f"degenerate shelf {self.start} .. {self.end}")
+    def __init__(self, start: TreeCoordinate, end: TreeCoordinate):
+        if start.x != end.x or end.y <= start.y:
+            raise InvariantError(f"degenerate shelf {start} .. {end}")
+        _set(self, "start", start)
+        _set(self, "end", end)
 
     @property
     def row(self) -> int:

@@ -24,29 +24,90 @@ lists (tuple pieces) and the CLI's JSON lines (text pieces, via serialize).
 Trees are immutable and share subtrees freely.  A Node stores its size when
 it is built, so size() is O(1), and caches its hash the first time it is
 hashed; an Interval caches its hash when it is built.
+
+The value types here, Shelf, RectangleSplit and TamariPoset are _Records:
+slotted fields named by __match_args__, set by an __init__ that makes the
+type's checks.  The base behaves as a frozen dataclass: equality and hash
+on the field tuple within one class, the Name(field=value, ...) repr,
+FrozenInstanceError on assignment, copy and pickle through __init__, and
+(_Ordered) ordering for TreeCoordinate and Interval.  They are not
+dataclasses: importing dataclasses and building their methods took about 18
+of the 24 ms of importing the CLI, which every CLI process pays.
 """
 
-from dataclasses import FrozenInstanceError, dataclass
+from _thread import allocate_lock
 from math import comb
-from threading import Lock
+from operator import attrgetter, ge, gt, le, lt
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .errors import AmbientMismatchError, InvariantError, NotAPermutationError
+from .errors import AmbientMismatchError, FrozenInstanceError, InvariantError, NotAPermutationError
+
+_set = object.__setattr__  # a record's __init__ sets its fields past __setattr__
+
+
+class _Record:
+    """An immutable value whose fields are its class's __match_args__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__
+        if len(names) > 1:
+            cls._key = attrgetter(*names)  # the field tuple
+        else:
+            cls._key = staticmethod(lambda self: tuple(getattr(self, f) for f in names))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return self.__class__, self._key(self)
+
+
+def _compare(op):
+    def method(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._key(self), self._key(other))
+
+    return method
+
+
+class _Ordered(_Record):
+    """A record ordered by its field tuple within its class."""
+
+    __slots__ = __match_args__ = ()
+    __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
 
 
 # ---------------------------------------------------------------------------
 # Binary trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(_Record):
+    __slots__ = __match_args__ = ()
     size = 0  # a class attribute, not a field
 
     def __repr__(self):
         return "Leaf"
 
 
-class Node:
+class Node(_Record):
     """An internal node.  Immutable; its size is stored at construction and
     its hash is computed on first use and then kept.
 
@@ -56,18 +117,13 @@ class Node:
     """
 
     __slots__ = ("left", "right", "size", "_hash")
+    __match_args__ = ("left", "right")
 
     def __init__(self, left: "BinaryTree", right: "BinaryTree"):
         # the slot setters bypass __setattr__, which refuses every assignment
         _set_left(self, left)
         _set_right(self, right)
         _set_size(self, left.size + right.size + 1)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"Node({self.left!r}, {self.right!r})"
@@ -86,9 +142,6 @@ class Node:
             h = hash(tuple(node_spans(self)))
             _set_hash(self, h)
             return h
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
-        return Node, (self.left, self.right)
 
 
 _set_left = Node.left.__set__
@@ -211,14 +264,14 @@ def node_coordinates(t: BinaryTree) -> dict:
     return coords
 
 
-@dataclass(frozen=True, order=True)
-class TreeCoordinate:
-    x: int
-    y: int
+class TreeCoordinate(_Ordered):
+    __slots__ = __match_args__ = ("x", "y")
 
-    def __post_init__(self):
-        if self.x < 0 or self.y < 0:
-            raise InvariantError(f"negative tree coordinate ({self.x}, {self.y})")
+    def __init__(self, x: int, y: int):
+        if x < 0 or y < 0:
+            raise InvariantError(f"negative tree coordinate ({x}, {y})")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     @property
     def level(self) -> int:
@@ -284,7 +337,7 @@ def _tables(n: int, leaf, rows) -> list:
 
 
 _TREES = [(LEAF,)]  # _TREES[m] is enumerate_trees(m), built once
-_TREES_LOCK = Lock()
+_TREES_LOCK = allocate_lock()
 
 
 def enumerate_trees(n: int) -> tuple:
@@ -487,26 +540,26 @@ def is_213_avoiding(p: Sequence[int]) -> bool:
 # Dyck paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(_Record):
     """A staircase walk of n up-steps (U) and n right-steps (R), never below
     the diagonal, stored from (0, 0)."""
 
-    steps: str
+    __slots__ = __match_args__ = ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, steps: str):
         ups = downs = 0
-        for c in self.steps:
+        for c in steps:
             if c == "U":
                 ups += 1
             elif c == "R":
                 downs += 1
                 if downs > ups:
-                    raise InvariantError(f"path {self.steps!r} dips below the diagonal")
+                    raise InvariantError(f"path {steps!r} dips below the diagonal")
             else:
                 raise InvariantError(f"bad step {c!r}; expected 'U' or 'R'")
         if ups != downs:
-            raise InvariantError(f"path {self.steps!r} has {ups} ups but {downs} rights")
+            raise InvariantError(f"path {steps!r} has {ups} ups but {downs} rights")
+        _set(self, "steps", steps)
 
     @property
     def semilength(self) -> int:
@@ -517,32 +570,32 @@ class DyckPath:
 # Young diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class YoungDiagram:
+class YoungDiagram(_Record):
     """Weakly decreasing rows inside the staircase for ambient n.
 
     The staircase bound is rows[i] + (i + 1) <= n for every row, so the
     maximal shape is (n-1, n-2, ..., 1).
     """
 
-    rows: tuple
-    n: int
+    __slots__ = __match_args__ = ("rows", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.n < 0:
+    def __init__(self, rows: tuple, n: int):
+        rows = tuple(rows)
+        if n < 0:
             raise InvariantError("ambient must be >= 0")
         prev = None
-        for i, r in enumerate(self.rows):
+        for i, r in enumerate(rows):
             if not _is_int(r) or r <= 0:
                 raise InvariantError(f"row lengths must be positive integers, got {r!r}")
             if prev is not None and r > prev:
-                raise InvariantError(f"rows {self.rows} are not weakly decreasing")
-            if r + i + 1 > self.n:
+                raise InvariantError(f"rows {rows} are not weakly decreasing")
+            if r + i + 1 > n:
                 raise InvariantError(
-                    f"row {i + 1} of length {r} breaks the staircase bound for ambient {self.n}"
+                    f"row {i + 1} of length {r} breaks the staircase bound for ambient {n}"
                 )
             prev = r
+        _set(self, "rows", rows)
+        _set(self, "n", n)
 
     def conjugate(self) -> tuple:
         """Column lengths, longest first."""
@@ -567,8 +620,7 @@ def staircase_ok(rows: Sequence[int], n: int) -> bool:
 # Gapped Young diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GappedYoungDiagram:
+class GappedYoungDiagram(_Record):
     """Cells of the tilted diagram before gap elimination.
 
     Cells live at (row, col) with row >= 1 counted downward from the ceiling
@@ -578,20 +630,20 @@ class GappedYoungDiagram:
     by push_gaps and the round trips, per the gap rule.
     """
 
-    boxes: frozenset
-    n: int
+    __slots__ = __match_args__ = ("boxes", "n")
 
-    def __post_init__(self):
+    def __init__(self, boxes: frozenset, n: int):
         cells = set()
-        for r, c in self.boxes:
+        for r, c in boxes:
             if not (_is_int(r) and _is_int(c)):
                 raise InvariantError(f"cell ({r!r}, {c!r}) is not an integer pair")
-            if r < 1 or c < 0 or r + c > self.n - 1:
+            if r < 1 or c < 0 or r + c > n - 1:
                 raise InvariantError(
-                    f"cell ({r}, {c}) outside the ambient-{self.n} triangle"
+                    f"cell ({r}, {c}) outside the ambient-{n} triangle"
                 )
             cells.add((r, c))
-        object.__setattr__(self, "boxes", frozenset(cells))
+        _set(self, "boxes", frozenset(cells))
+        _set(self, "n", n)
 
     def columns_anchored(self) -> bool:
         """True iff every occupied column is one run starting at row 1."""
@@ -608,8 +660,7 @@ class GappedYoungDiagram:
 # Intervals and torsion pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(_Ordered):
     """A ball of the triangular structure: the interval [a, b], 1 <= a <= b.
 
     The hash is computed once, at construction; balls are hashed far more
@@ -617,27 +668,24 @@ class Interval:
     """
 
     __slots__ = ("a", "b", "_hash")
-    a: int
-    b: int
+    __match_args__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (1 <= self.a <= self.b):
-            raise InvariantError(f"bad interval [{self.a}, {self.b}]")
-        object.__setattr__(self, "_hash", hash((self.a, self.b)))
+    def __init__(self, a: int, b: int):
+        if not (1 <= a <= b):
+            raise InvariantError(f"bad interval [{a}, {b}]")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "_hash", hash((a, b)))
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
-        return Interval, (self.a, self.b)
 
     def check_ambient(self, n: int):
         if self.b > n - 1:
             raise AmbientMismatchError(f"[{self.a}, {self.b}] outside ambient {n}")
 
 
-@dataclass(frozen=True)
-class TorsionPair:
+class TorsionPair(_Record):
     """Torsion class and torsion-free class on the ambient-n ball triangle.
 
     The two sets are disjoint but in general do not partition the triangle:
@@ -646,14 +694,16 @@ class TorsionPair:
     gives the pair back, so both perpendicularity clauses hold.
     """
 
-    torsion: frozenset
-    free: frozenset
-    n: int
+    __slots__ = __match_args__ = ("torsion", "free", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", frozenset(self.torsion))
-        object.__setattr__(self, "free", frozenset(self.free))
-        for x in self.torsion | self.free:
-            x.check_ambient(self.n)
-        if self.torsion & self.free:
+    def __init__(self, torsion: frozenset, free: frozenset, n: int):
+        torsion, free = frozenset(torsion), frozenset(free)
+        for side in (torsion, free):
+            for x in side:
+                if x.b >= n:
+                    x.check_ambient(n)  # raises
+        if not torsion.isdisjoint(free):
             raise InvariantError("torsion and torsion-free classes intersect")
+        _set(self, "torsion", torsion)
+        _set(self, "free", free)
+        _set(self, "n", n)

@@ -19,3 +19,7 @@ class NotAPermutationError(InvariantError):
 
 class AmbientMismatchError(InvariantError):
     """An interval or ball lies outside the ambient triangle."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, a field of an immutable value."""

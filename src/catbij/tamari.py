@@ -9,10 +9,9 @@ the counts of dyck._ends).  The order is not graded for n >= 3, so maximal
 chains are counted by path enumeration over the Hasse diagram, never by rank.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import BinaryTree, InvariantError, enumerate_trees, node_spans, size
+from .core import BinaryTree, InvariantError, _Record, _set, enumerate_trees, node_spans, size
 from .dyck import _ends, _from_ends, dyck_to_tree
 from .torsion import _engine, _tree_masks
 
@@ -38,10 +37,12 @@ def covers_of(t: BinaryTree) -> list:
     return [dyck_to_tree(_from_ends(e)) for e in _rotations(t)[1]]
 
 
-@dataclass(frozen=True)
-class TamariPoset:
-    nodes: tuple
-    covers: frozenset  # (lower, upper) tree pairs
+class TamariPoset(_Record):
+    __slots__ = __match_args__ = ("nodes", "covers")
+
+    def __init__(self, nodes: tuple, covers: frozenset):  # covers: (lower, upper) tree pairs
+        _set(self, "nodes", nodes)
+        _set(self, "covers", covers)
 
     @property
     def n(self) -> int:

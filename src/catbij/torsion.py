@@ -52,7 +52,6 @@ pairs' masks on the trees' split tables instead, in a layout of its own
 it is also the layout serialize writes torsion text from.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
@@ -65,6 +64,8 @@ from .core import (
     InvariantError,
     TorsionPair,
     _KEEP,
+    _Record,
+    _set,
     _splits,
     _tables,
     catalan,
@@ -387,8 +388,7 @@ def torsion_to_gapped_young(objs, n: int) -> GappedYoungDiagram:
 # Recursive rectangle decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RectangleSplit:
+class RectangleSplit(_Record):
     """One step of the recursive rectangle decomposition.
 
     skipped counts leading ball columns with no member.  The rectangle spans
@@ -397,11 +397,13 @@ class RectangleSplit:
     right is relabeled to its own smaller triangle.
     """
 
-    skipped: int
-    width: int
-    rectangle: frozenset
-    left: frozenset
-    right: frozenset
+    __slots__ = __match_args__ = ("skipped", "width", "rectangle", "left", "right")
+
+    def __init__(
+        self, skipped: int, width: int, rectangle: frozenset, left: frozenset, right: frozenset
+    ):
+        for name, value in zip(self.__match_args__, (skipped, width, rectangle, left, right)):
+            _set(self, name, value)
 
 
 def decompose_rectangle(objs, n: int) -> RectangleSplit:

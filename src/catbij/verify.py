@@ -135,20 +135,17 @@ def verify_roundtrips(n_max: int) -> dict:
 
 def verify_commutativity(n_max: int) -> dict:
     report = {"suite": "commutativity", "n_max": n_max, "checks": []}
-    fails = []
+    route_fails, frame_fails = [], []  # each tree's gapped frame is built once
     for n in range(n_max + 1):
         for t in enumerate_trees(n):
-            if push_gaps(bookshelf_gapped(t)) != bookshelf(t):
-                fails.append(to_paren(t))
-    _check("bookshelf == dyck route", fails, report)
-
-    fails = []
-    for n in range(n_max + 1):
-        for t in enumerate_trees(n):
+            frame = bookshelf_gapped(t)
+            if push_gaps(frame) != bookshelf(t):
+                route_fails.append(to_paren(t))
             g = torsion.tree_to_torsion(t).torsion
-            if torsion.torsion_to_gapped_young(g, n) != bookshelf_gapped(t):
-                fails.append(to_paren(t))
-    _check("torsion gapped frame == bookshelf gapped frame", fails, report)
+            if torsion.torsion_to_gapped_young(g, n) != frame:
+                frame_fails.append(to_paren(t))
+    _check("bookshelf == dyck route", route_fails, report)
+    _check("torsion gapped frame == bookshelf gapped frame", frame_fails, report)
 
     report["passed"] = all(c["passed"] for c in report["checks"])
     return report
@@ -168,23 +165,20 @@ def verify_torsion(n_max: int) -> dict:
                     fails.append([[x.a, x.b], [y.a, y.b]])
     _check("hom reflexive and antisymmetric", fails, report)
 
-    fails = []
+    pair_fails, generate_fails, split_fails = [], [], []  # one tree_to_torsion per tree
     for n in range(n_max + 1):
         for t in enumerate_trees(n):
             pair = torsion.tree_to_torsion(t)
-            if torsion.perp_right(pair.torsion, n) != pair.free:
-                fails.append(to_paren(t))
-            elif torsion.perp_left(pair.free, n) != pair.torsion:
-                fails.append(to_paren(t))
-    _check("trees give torsion pairs (both clauses)", fails, report)
-
-    fails = []
-    for n in range(n_max + 1):
-        for t in enumerate_trees(n):
-            g = torsion.tree_to_torsion(t).torsion
+            g = pair.torsion
+            if torsion.perp_right(g, n) != pair.free or torsion.perp_left(pair.free, n) != g:
+                pair_fails.append(to_paren(t))
             if torsion.torsion_generate(g, n).torsion != g:
-                fails.append(to_paren(t))
-    _check("generation is idempotent on classes", fails, report)
+                generate_fails.append(to_paren(t))
+            split = torsion.decompose_rectangle(g, n)
+            if torsion.recompose_rectangle(split, n) != g:
+                split_fails.append(to_paren(t))
+    _check("trees give torsion pairs (both clauses)", pair_fails, report)
+    _check("generation is idempotent on classes", generate_fails, report)
 
     fails = []
     for n in range(min(n_max, 5) + 1):
@@ -196,15 +190,7 @@ def verify_torsion(n_max: int) -> dict:
                 if got != want:
                     fails.append(sorted([x.a, x.b] for x in seed))
     _check("closure rules == perpendicular generation (all seeds, n <= 5)", fails, report)
-
-    fails = []
-    for n in range(n_max + 1):
-        for t in enumerate_trees(n):
-            g = torsion.tree_to_torsion(t).torsion
-            split = torsion.decompose_rectangle(g, n)
-            if torsion.recompose_rectangle(split, n) != g:
-                fails.append(to_paren(t))
-    _check("rectangle decomposition round trip", fails, report)
+    _check("rectangle decomposition round trip", split_fails, report)
 
     report["passed"] = all(c["passed"] for c in report["checks"])
     return report

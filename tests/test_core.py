@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from catbij import (
+    AmbientMismatchError,
     DyckPath,
     GappedYoungDiagram,
     Interval,
@@ -13,6 +14,7 @@ from catbij import (
     LEAF,
     Node,
     NotAPermutationError,
+    TorsionPair,
     TreeCoordinate,
     YoungDiagram,
     catalan,
@@ -425,3 +427,14 @@ def test_interval_invariants():
         Interval(2, 1)
     with pytest.raises(InvariantError):
         Interval(0, 1)
+
+
+def test_torsion_pair_invariants():
+    x, y, out = Interval(1, 1), Interval(2, 3), Interval(2, 4)
+    TorsionPair({x}, {y}, 4)
+    # a ball outside the ambient is named, in either class, before an overlap
+    for tors, free in (({out}, {x}), ({x}, {y, out}), ({out}, {out})):
+        with pytest.raises(AmbientMismatchError, match=r"^\[2, 4\] outside ambient 4$"):
+            TorsionPair(tors, free, 4)
+    with pytest.raises(InvariantError, match="^torsion and torsion-free classes intersect$"):
+        TorsionPair({x, y}, {y}, 4)
