@@ -127,6 +127,7 @@ def test_importing_the_cli_loads_no_dataclasses():
     src = pathlib.Path(catbij.__file__).resolve().parent.parent
     code = "import sys, catbij.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    argv = [sys.executable, "-S", "-c", code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
