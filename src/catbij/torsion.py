@@ -26,12 +26,11 @@ when decompose_rectangle gives it back from the class it recomposes to.
 Every map here works on ball masks with per-ambient cached tables
 (_engine): generation and closure, which seed sweeps run over every subset
 of the triangle (2^15 subsets at n = 6), tree <-> class (one walk,
-_tree_masks), column heights (the lowest set bit of each ball column), the
-rectangle split and the Tamari order check.  The public functions convert
-once, at the boundary, and their result sets are the engine's own Interval
-objects (_to_set), so no ball is built again.  _union reads the Hom
-and quotient tables a byte of mask at a time, from one 256-entry table of
-unions per 8 balls.  A sweep lands on few results: the ambient-n triangle has
+_tree_masks), column heights (the lowest set bit of each ball column) and
+the rectangle split.  The public functions convert once, at the boundary,
+and their result sets are the engine's own Interval objects (_to_set), so
+no ball is built again.  _union reads the Hom and quotient tables a byte of
+mask at a time, from one 256-entry table of unions per 8 balls.  A sweep lands on few results: the ambient-n triangle has
 catalan(n) torsion classes and as many torsion-free classes, and
 torsion_generate, complete_torsion_hu, perp_right and perp_left only ever
 give one of those.  The engine's class table names each once, one frozenset
@@ -49,7 +48,8 @@ result about once, so a table would only hold on to it: they build their
 own sets and pairs, of the engine's balls.  Enumeration joins the
 pairs' masks on the trees' split tables instead, in a layout of its own
 (_torsion_masks) that shifting a subtree's labels turns into a bit shift;
-it is also the layout serialize writes torsion text from.
+it is also the layout serialize writes torsion text from, and the one
+tamari checks the order reversal on.
 """
 
 from functools import lru_cache

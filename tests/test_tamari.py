@@ -1,6 +1,7 @@
 """Tamari lattice structure, chain counts, and order reversal."""
 
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -58,6 +59,16 @@ def test_covers_of_matches_the_recursive_rotation():
     for n in range(0, 9):
         for t in enumerate_trees(n):
             assert parens(covers_of(t)) == parens(rotations_by_recursion(t))
+
+
+def test_cover_indices_are_the_per_tree_covers():
+    # the split-table join against covers_of, one tree at a time, mapped
+    # through enumerate_trees; as lists, so the rotation-site order counts
+    for n in range(0, 9):
+        nodes = enumerate_trees(n)
+        index = {to_paren(t): k for k, t in enumerate(nodes)}
+        want = [[index[u] for u in parens(covers_of(t))] for t in nodes]
+        assert [list(up) for up in _cover_indices(n)] == want
 
 
 def test_build_lattice_covers_are_the_recursive_rotations():
@@ -159,13 +170,29 @@ def test_malformed_poset_raises_invariant_error(kind):
         is_lattice(p)
 
 
+def test_all_meets_without_a_top_is_not_a_lattice():
+    # the pentagon without its top: every pair has a meet, but the two
+    # lower covers of the top are both maximal, so they have no join
+    p = build_lattice(3)
+    top = p.top()
+    nodes = tuple(t for t in p.nodes if t != top)
+    covers = frozenset(c for c in p.covers if top not in c)
+    _, down = _leq_matrix(TamariPoset(nodes, covers))
+    assert all(d & e in set(down) for d in down for e in down)  # the meets
+    for order in permutations(nodes):
+        assert is_lattice(TamariPoset(order, covers)) is False
+
+
 def test_leq_matrix_fills_a_long_chain():
-    # deeper than the default recursion limit
+    # deeper than the default recursion limit; bit k of a down-set stands
+    # for the k-th node of the topological order, whatever the node order
     nodes = enumerate_trees(9)[:3000]
-    up, down = _leq_matrix(TamariPoset(nodes, frozenset(zip(nodes, nodes[1:]))))
+    chain = frozenset(zip(nodes, nodes[1:]))
     full = (1 << len(nodes)) - 1
-    assert up == [full >> i << i for i in range(len(nodes))]
-    assert down == [full >> (len(nodes) - 1 - i) for i in range(len(nodes))]
+    for listed in (nodes, nodes[::-1]):
+        order, down = _leq_matrix(TamariPoset(listed, chain))
+        assert [listed[i] for i in order] == list(nodes)
+        assert down == [full >> (len(nodes) - 1 - i) for i in range(len(nodes))]
 
 
 def test_tamari_order_is_reversed_torsion_inclusion():
@@ -173,9 +200,10 @@ def test_tamari_order_is_reversed_torsion_inclusion():
     for n in range(1, 8):
         p = build_lattice(n)
         tors = [tree_to_torsion(t).torsion for t in p.nodes]
-        up = _leq_matrix(p).up
-        for i, ti in enumerate(tors):
-            assert up[i] == sum(1 << j for j, tj in enumerate(tors) if tj <= ti)
+        order, down = _leq_matrix(p)
+        for k, i in enumerate(order):
+            below = sum(1 << h for h, j in enumerate(order) if tors[i] <= tors[j])
+            assert down[k] == below
 
 
 def test_interval_count_matches_chapoton():
@@ -183,8 +211,8 @@ def test_interval_count_matches_chapoton():
     # intervals, that is pairs t <= u
     counts = []
     for n in range(1, 7):
-        up = _leq_matrix(build_lattice(n)).up
-        counts.append(sum(row.bit_count() for row in up))
+        down = _leq_matrix(build_lattice(n))[1]
+        counts.append(sum(row.bit_count() for row in down))
         assert counts[-1] == 2 * factorial(4 * n + 1) // (
             factorial(n + 1) * factorial(3 * n + 2)
         )
@@ -196,6 +224,26 @@ def test_chain_counts():
     assert count_maximal_chains(2) == 1
     assert count_maximal_chains(3) == 2
     assert count_maximal_chains(4) == 9
+
+
+def test_chain_count_regression_pins():
+    # regression pins taken from the split-table implementation, not an
+    # independent oracle (as bench/workloads.py pins n = 9)
+    assert count_maximal_chains(10) == 36812710172987995
+    assert count_maximal_chains(11) == 12001387004225881846755
+
+
+def test_chain_count_and_order_check_build_no_tree(monkeypatch):
+    import catbij.core as core
+    import catbij.tamari as tamari
+
+    def refuse(n):
+        raise AssertionError("enumerate_trees called")
+
+    monkeypatch.setattr(tamari, "enumerate_trees", refuse)
+    monkeypatch.setattr(core, "enumerate_trees", refuse)
+    assert count_maximal_chains(9) == 994441978397
+    assert verify_order_reversing(8)
 
 
 def shifted_staircase_tableaux(m):
@@ -219,7 +267,7 @@ def test_longest_chains_are_shifted_staircase_tableaux():
     counts = []
     for n in range(1, 8):
         by_length = []  # per tree: {length: chains from the tree up to the top}
-        for up in _cover_indices(enumerate_trees(n)):
+        for up in _cover_indices(n):
             lengths = {0: 1} if not up else {}
             for j in up:
                 for length, c in by_length[j].items():
@@ -319,14 +367,14 @@ def test_order_reversing_fails_without_one_torsion_ball(monkeypatch, drop):
     # some cover no longer shrinks the class strictly, so it cannot be vacuous
     import catbij.tamari as tamari
 
-    masks = tamari._tree_masks
+    masks = tamari._torsion_masks
 
-    def one_bit_short(t, e):
-        tors, free = masks(t, e)
-        bit = tors & -tors if drop == "lowest" else 1 << tors.bit_length() >> 1
-        return tors & ~bit, free
+    def one_bit_short(n):
+        for tors, free in masks(n):
+            bit = tors & -tors if drop == "lowest" else 1 << tors.bit_length() >> 1
+            yield tors & ~bit, free
 
-    monkeypatch.setattr(tamari, "_tree_masks", one_bit_short)
+    monkeypatch.setattr(tamari, "_torsion_masks", one_bit_short)
     assert verify_order_reversing(1)  # no cover
     for n in range(2, 8):
         assert not verify_order_reversing(n)
