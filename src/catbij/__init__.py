@@ -5,9 +5,7 @@ from .baseball import (
     BASEBALL,
     CROSSBALL,
     classify_balls,
-    perm_to_torsion,
     perm_to_tree,
-    torsion_to_perm,
     trace_wires,
     tree_to_perm,
 )

@@ -24,7 +24,7 @@ from .core import (
     size,
 )
 from .dyck import _from_ends, dyck_to_tree
-from .torsion import all_balls, torsion_to_tree, tree_to_torsion
+from .torsion import all_balls, tree_to_torsion
 
 
 BASEBALL = "baseball"
@@ -97,11 +97,3 @@ def perm_to_tree(p) -> BinaryTree:
         waiting.append(v)
     ends[-1] += len(waiting)
     return dyck_to_tree(_from_ends(ends))
-
-
-def torsion_to_perm(objs, n: int) -> tuple:
-    return tree_to_perm(torsion_to_tree(objs, n))
-
-
-def perm_to_torsion(p) -> frozenset:
-    return tree_to_torsion(perm_to_tree(p)).torsion

@@ -1,27 +1,24 @@
 """Command line front end.
 
 Verbs: enumerate, convert, verify, render, chains, lattice.  Enumeration
-streams one JSON document per line in canonical order; each line is one
-join of text pieces from tables of the smaller sizes, or, for torsion pairs,
-read off the ball masks of such tables a byte at a time
-(serialize.enumeration_lines), so no object is built, checked or formatted
-per line.  Conversion routes everything through the binary tree hub.  Exit
-codes: 0 success, 1 usage or input error, 2 verification failure.
+streams one JSON document per line in canonical order, from
+serialize.enumeration_lines.  Conversion routes everything through the
+binary tree hub, by the _FAMILY table.  Exit codes: 0 success, 1 usage or
+input error (a closed stdout included), 2 verification failure.
 
-Documented feasibility bounds: n <= 12 for every family (trees, paths,
-diagrams, torsion pairs and permutations); n <= 8 for the lattice; n <= 11
-for chain counting; --n-max 2..9 for verify.
+Documented feasibility bounds: n <= 12 for every family, n <= 8 for the
+lattice, n <= 11 for chain counting and --n-max 2..9 for verify.
 """
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
 from . import baseball, dyck, render, serialize, tamari, torsion, verify
 from .bookshelf import bookshelf, inverse_bookshelf
 from .core import (  # the enumerate_* names are not called here; bench/spans.py traces them
-    BinaryTree,
     enumerate_dyck,
     enumerate_parens,
     enumerate_perms213,
@@ -32,9 +29,38 @@ from .core import (  # the enumerate_* names are not called here; bench/spans.py
 )
 from .errors import CatbijError, InvariantError
 
-FAMILIES = ("tree", "dyck", "young", "perm213", "torsion")
-
 _MAX_N = 12  # the bound on n of every family
+
+# family: (read a document, the n of what it reads, that to the tree, the
+# tree to a document).  Each entry looks its functions up when called, so
+# that a patched module attribute (bench/spans.py) is the one called.
+_FAMILY = {
+    "tree": (lambda text: serialize.deserialize_tree(text), size,
+             lambda t: t,
+             lambda t: serialize.serialize_tree(t)),
+    "dyck": (lambda text: serialize.deserialize_dyck(text), lambda p: p.semilength,
+             lambda p: dyck.dyck_to_tree(p),
+             lambda t: serialize.serialize_dyck(dyck.tree_to_dyck(t))),
+    "young": (lambda text: serialize.deserialize_young(text), lambda y: y.n,
+              lambda y: inverse_bookshelf(y, y.n),
+              lambda t: serialize.serialize_young(bookshelf(t))),
+    "perm213": (lambda text: serialize.deserialize_perm(text), len,
+                lambda p: baseball.perm_to_tree(p),
+                lambda t: serialize.serialize_perm(baseball.tree_to_perm(t))),
+    # refused before the ball tables of n are built
+    "torsion": (lambda text: serialize.deserialize_torsion(text, max_n=_MAX_N), lambda tp: tp.n,
+                lambda tp: torsion.torsion_to_tree(tp.torsion, tp.n),
+                lambda t: serialize.serialize_torsion(torsion.tree_to_torsion(t))),
+}
+FAMILIES = tuple(_FAMILY)
+
+# (family, backend): draw what _read gives for the family
+_RENDER = {
+    ("young", "ascii"): lambda y: render.render_young_ascii(y),
+    ("tree", "ascii"): lambda t: render.render_tree_ascii(t),
+    ("torsion", "svg"): lambda tp: render.render_torsion_svg(tp, tp.n),
+    ("tree", "svg"): lambda t: render.render_wire_svg(t),
+}
 
 
 def _die(msg, code=1):
@@ -44,45 +70,21 @@ def _die(msg, code=1):
 
 def _read(family: str, text: str):
     """Deserialize a document of family and enforce its documented bound."""
-    if family == "torsion":  # refused before the ball tables of n are built
-        return serialize.deserialize_torsion(text, max_n=_MAX_N)
-    read, n_of = {
-        "tree": (serialize.deserialize_tree, size),
-        "dyck": (serialize.deserialize_dyck, lambda p: p.semilength),
-        "young": (serialize.deserialize_young, lambda y: y.n),
-        "perm213": (serialize.deserialize_perm, len),
-    }[family]
+    read, n_of, _, _ = _FAMILY[family]
     obj = read(text)
     if n_of(obj) > _MAX_N:
         raise InvariantError(f"n={n_of(obj)} out of bounds for {family} (0..{_MAX_N})")
     return obj
 
 
-def _to_tree(family: str, text: str) -> BinaryTree:
-    obj = _read(family, text)
-    if family == "tree":
-        return obj
-    if family == "dyck":
-        return dyck.dyck_to_tree(obj)
-    if family == "young":
-        return inverse_bookshelf(obj, obj.n)
-    if family == "perm213":
-        return baseball.perm_to_tree(obj)
-    return torsion.torsion_to_tree(obj.torsion, obj.n)
+def _to_tree(family: str, text: str):
+    return _FAMILY[family][2](_read(family, text))
 
 
-def _from_tree(family: str, t: BinaryTree, fmt: str) -> str:
-    if family == "tree":
-        return to_paren(t) if fmt == "paren" else serialize.serialize_tree(t)
-    if family == "dyck":
-        return serialize.serialize_dyck(dyck.tree_to_dyck(t))
-    if family == "young":
-        return serialize.serialize_young(bookshelf(t))
-    if family == "perm213":
-        return serialize.serialize_perm(baseball.tree_to_perm(t))
-    if family == "torsion":
-        return serialize.serialize_torsion(torsion.tree_to_torsion(t))
-    raise ValueError(f"unknown family {family!r}")
+def _from_tree(family: str, t, fmt: str) -> str:
+    if family == "tree" and fmt == "paren":
+        return to_paren(t)
+    return _FAMILY[family][3](t)
 
 
 def _read_input(args) -> str:
@@ -114,11 +116,8 @@ def cmd_enumerate(args) -> int:
 def cmd_convert(args) -> int:
     if args.source not in FAMILIES or args.target not in FAMILIES:
         return _die(f"families must come from {', '.join(FAMILIES)}")
-    try:
-        t = _to_tree(args.source, _read_input(args))
-        print(_from_tree(args.target, t, args.format))
-    except CatbijError as exc:
-        return _die(exc)
+    t = _to_tree(args.source, _read_input(args))  # main reports a CatbijError
+    print(_from_tree(args.target, t, args.format))
     return 0
 
 
@@ -133,33 +132,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    text = None
-    if args.family != "lattice":
+    if args.family == "lattice":  # drawn from --n, whatever the backend
+        if args.n is None or not (1 <= args.n <= 8):
+            return _die("render lattice needs --n in 1..8")
+        out = render.render_lattice_dot(tamari.build_lattice(args.n))
+    else:
         text = _read_input(args)
-    try:
-        if args.family == "lattice":
-            if args.n is None or not (1 <= args.n <= 8):
-                return _die("render lattice needs --n in 1..8")
-            p = tamari.build_lattice(args.n)
-            out = render.render_lattice_dot(p)
-        elif args.family == "young" and args.backend == "ascii":
-            out = render.render_young_ascii(_read("young", text))
-        elif args.family == "tree" and args.backend == "ascii":
-            out = render.render_tree_ascii(_read("tree", text))
-        elif args.family == "torsion" and args.backend == "svg":
-            tp = _read("torsion", text)
-            out = render.render_torsion_svg(tp, tp.n)
-        elif args.family == "tree" and args.backend == "svg":
-            out = render.render_wire_svg(_read("tree", text))
-        else:
+        draw = _RENDER.get((args.family, args.backend))
+        if draw is None:
             return _die(f"no {args.backend!r} backend for family {args.family!r}")
-    except CatbijError as exc:
-        return _die(exc)
+        out = draw(_read(args.family, text))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-            if not out.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+                if not out.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            return _die(f"cannot write {args.out}: {exc.strerror}")
     else:
         print(out)
     return 0
@@ -231,9 +221,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.__stdout__.flush()  # so that a closed pipe fails here, not at exit
     except CatbijError as exc:
         return _die(exc)
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, as the Python docs
+        # advise, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.__stdout__.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -14,16 +14,11 @@ Every bijection out of a tree reads its family off one walk, node_spans.
 
 The enumerators of trees, Dyck words, staircase rows and 213-avoiders build
 each object of size n as one join of a few pieces from tables of the
-smaller sizes, made bottom-up with loops (trees by the root split, Dyck
-words by meeting in the middle, rows by suffix tables, permutations by the
-first-element split); the size-n objects are streamed, and so is any
-smaller size too large to keep (_entry).  Tuples and
-strings both concatenate with +, so the same table code makes the library's
-lists (tuple pieces) and the CLI's JSON lines (text pieces, via serialize).
-
-Trees are immutable and share subtrees freely.  A Node stores its size when
-it is built, so size() is O(1), and caches its hash the first time it is
-hashed; an Interval caches its hash when it is built.
+smaller sizes, made bottom-up with loops; the size-n objects are streamed,
+and so is any smaller size too large to keep (_entry).  Tuples and strings
+both concatenate with +, so the same table code makes the library's lists
+(tuple pieces) and the CLI's JSON lines (text pieces, via serialize).  Trees
+are immutable and share subtrees freely.
 
 The value types here, Shelf, RectangleSplit and TamariPoset are _Records:
 slotted fields named by __match_args__, set by an __init__ that makes the
@@ -31,14 +26,12 @@ type's checks.  The base behaves as a frozen dataclass: equality and hash
 on the field tuple within one class, the Name(field=value, ...) repr,
 FrozenInstanceError on assignment, copy and pickle through __init__, and
 (_Ordered) ordering for TreeCoordinate and Interval.  They are not
-dataclasses: importing dataclasses and building their methods took about 18
-of the 24 ms of importing the CLI, which every CLI process pays.
+dataclasses, whose import and methods took 18 of the 24 ms of CLI start.
 """
 
 from _thread import allocate_lock
 from math import comb
 from operator import attrgetter, ge, gt, le, lt
-from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import AmbientMismatchError, FrozenInstanceError, InvariantError, NotAPermutationError
 
@@ -149,7 +142,7 @@ _set_right = Node.right.__set__
 _set_size = Node.size.__set__
 _set_hash = Node._hash.__set__
 
-BinaryTree = Union[Leaf, Node]
+BinaryTree = Leaf | Node
 
 LEAF = Leaf()
 
@@ -354,22 +347,15 @@ def enumerate_trees(n: int) -> tuple:
     return _TREES[n]
 
 
-class Spelling(NamedTuple):
-    """How a sequence of ints v1, v2, ..., vk is written: open + first(v1) +
-    after(v2) + ... + after(vk) + close.  The pieces are all str or all
-    tuples."""
-
-    open: object
-    first: Callable
-    after: Callable
-    close: object
-
+# A spelling (open, first, after, close) writes a sequence of ints v1, v2,
+# ..., vk as open + first(v1) + after(v2) + ... + after(vk) + close.  The
+# pieces are all str or all tuples.
 
 def _one(v):
     return (v,)
 
 
-_TUPLES = Spelling((), _one, _one, ())
+_TUPLES = ((), _one, _one, ())
 
 
 def _parens(n: int, quote: str):
@@ -427,7 +413,7 @@ def enumerate_dyck(n: int) -> list:
     return list(_dyck_words(_size(n), ""))
 
 
-def _young_rows(n: int, spell: Spelling):
+def _young_rows(n: int, spell):
     """The staircase partitions for ambient n in lexicographic order, each
     spelled by spell.
 
@@ -436,16 +422,16 @@ def _young_rows(n: int, spell: Spelling):
     first, then the next row ascending.  The tables are built from the last
     row up to the third; the first two rows are streamed.
     """
-    after, close = spell.after, spell.close
+    start, first, after, close = spell
     rest = []
     for i in range(n - 1, 1, -1):  # i rows so far; row i is at most n - 1 - i
         level = [[close]]
         for c in range(1, n - i):
             level.append(level[-1] + [after(c) + s for s in rest[min(c, n - 2 - i)]])
         rest = level
-    yield spell.open + close
+    yield start + close
     for a in range(1, n):
-        head = spell.open + spell.first(a)
+        head = start + first(a)
         yield head + close
         for b in range(1, min(a, n - 2) + 1):
             head_b = head + after(b)
@@ -461,7 +447,7 @@ def enumerate_young(n: int) -> list:
     return list(_young_rows(_size(n), _TUPLES))
 
 
-def _perms213(n: int, spell: Spelling):
+def _perms213(n: int, spell):
     """The 213-avoiding permutations of 1..n in lexicographic order, each
     spelled by spell.
 
@@ -475,9 +461,9 @@ def _perms213(n: int, spell: Spelling):
     so no value is shifted per object.  At n = 12 lengths 10 and 11 are
     re-joined at each read rather than kept (_entry).
     """
-    close = spell.close
-    after = [spell.after(v) for v in range(n + 1)]
-    empty = spell.open[:0]  # "" or ()
+    start, first, after, close = spell
+    after = [after(v) for v in range(n + 1)]
+    empty = start[:0]  # "" or ()
     table = [[[empty]] * (n + 1)]  # table[0][shift]: the empty permutation
 
     def spelled(s, shift):
@@ -492,11 +478,11 @@ def _perms213(n: int, spell: Spelling):
         count = catalan(s) * (n - s + 1)  # every shift of length s
         table.append([_entry(count, spelled, s, shift) for shift in range(n - s + 1)])
     if n == 0:
-        yield spell.open + close
+        yield start + close
     for k in range(1, n + 1):
-        first = spell.open + spell.first(k)
+        lead = start + first(k)
         for b in table[n - k][k]:
-            head = first + b
+            head = lead + b
             for c in table[k - 1][0]:
                 yield head + c + close
 
@@ -511,11 +497,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def is_permutation(p: Sequence[int]) -> bool:
+def is_permutation(p) -> bool:
     return sorted(p) == list(range(1, len(p) + 1))
 
 
-def is_213_avoiding(p: Sequence[int]) -> bool:
+def is_213_avoiding(p) -> bool:
     """True iff no i < j < k has p[j] < p[i] < p[k]; raises
     NotAPermutationError when p is not a permutation of 1..len(p).
 
@@ -612,7 +598,7 @@ class YoungDiagram(_Record):
         return sum(self.rows)
 
 
-def staircase_ok(rows: Sequence[int], n: int) -> bool:
+def staircase_ok(rows, n: int) -> bool:
     return all(r + i + 1 <= n for i, r in enumerate(rows))
 
 

@@ -11,7 +11,7 @@ from .core import (
     Interval,
     TorsionPair,
     YoungDiagram,
-    node_coordinates,
+    node_spans,
     size,
     to_paren,
 )
@@ -24,26 +24,33 @@ GRAY = "#bbbbbb"
 _CELL = "□"  # white square
 
 
+def _edges(t: BinaryTree) -> list:
+    """(parent, child, right) for each edge of the stretched drawing of t,
+    as (x, y) coordinates, in preorder of the child: node (i, m, j) of
+    node_spans sits at (n - j, i), its children at (n - m, i) and
+    (n - j, m + 1), and preorder sorts the child spans (a, b) by (a, -b)."""
+    n = size(t)
+    edges = []
+    for i, m, j in node_spans(t):
+        edges.append(((i, -m), (n - j, i), (n - m, i), False))
+        edges.append(((m + 1, -j), (n - j, i), (n - j, m + 1), True))
+    edges.sort()
+    return [edge[1:] for edge in edges]
+
+
 def render_tree_ascii(t: BinaryTree) -> str:
     """Stretched triangle drawing with / and \\ edges, leaves on one line."""
     n = size(t)
     width = 2 * n + 1
     grid = [[" "] * width for _ in range(n + 1)]
-    coords = node_coordinates(t)
-
-    def put(row, col, ch):
-        grid[row][col] = ch
-
-    for path, c in coords.items():
-        row, col = c.x + c.y, n - c.x + c.y
-        put(row, col, "o" if c.level <= n else "•")
-        if path:
-            p = coords[path[:-1]]
-            prow, pcol = p.x + p.y, n - p.x + p.y
-            step = 1 if path[-1] == "R" else -1
-            ch = "\\" if path[-1] == "R" else "/"
-            for k in range(1, row - prow):
-                put(prow + k, pcol + step * k, ch)
+    for k in range(n + 1):  # leaf k, at (n - k, k)
+        grid[n][2 * k] = "•"
+    for (px, py), (x, y), right in _edges(t):
+        prow, pcol = px + py, n - px + py
+        grid[prow][pcol] = "o"
+        step, ch = (1, "\\") if right else (-1, "/")
+        for k in range(1, x + y - prow):
+            grid[prow + k][pcol + step * k] = ch
     return "\n".join("".join(r).rstrip() for r in grid)
 
 
@@ -109,17 +116,14 @@ def render_wire_svg(t: BinaryTree) -> str:
         return px, py
 
     body = []
-    coords = node_coordinates(t)
-    for path, c in sorted(coords.items()):
-        if path:
-            p = coords[path[:-1]]
-            x1, y1 = pt(p.x, p.y)
-            x2, y2 = pt(c.x, c.y)
-            color = BLUE if path[-1] == "R" else RED
-            body.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
+    for parent, child, right in _edges(t):
+        x1, y1 = pt(*parent)
+        x2, y2 = pt(*child)
+        color = BLUE if right else RED
+        body.append(
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
     for ball, kind in sorted(classify_balls(t).items()):
         bx, by = _ball_center(ball.a, ball.b, n, scale, pad)
         body.append(

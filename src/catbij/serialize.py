@@ -15,16 +15,13 @@ checked as it is read; it is a pair exactly when generation gives it back
 from its torsion class, compared on those masks.  Ambient 0 has the one
 pair with no balls.
 
-quoted and int_array write what json.dumps writes on the strings and int
-sequences of valid objects, without its per-call cost.  Torsion text has
-one writer, _torsion_writer(n): it joins the ", [a, b]" pieces of a pair's
-two ball masks, read a byte at a time from tables built once per ambient.
-enumeration_lines streams the documents of a whole enumeration: core's
-enumerators spell each tree, Dyck, Young or 213-avoider document as one
-join of JSON text pieces, and torsion documents come from that writer on
-the masks of the trees' split tables, so no object is built, checked or
-formatted per line.  The CLI takes every family to n <= 12 and passes that
-bound to deserialize_torsion.
+Writing skips json.dumps: quoted and int_array write what it writes, and
+torsion text has one writer, _torsion_writer(n).  enumeration_lines streams
+the documents of a whole enumeration: core's enumerators spell each tree,
+Dyck, Young or 213-avoider document as one join of JSON text pieces, and
+torsion documents come from that writer on the masks of the trees' split
+tables, so no object is built, checked or formatted per line.  The CLI
+takes every family to n <= 12 and passes that bound to deserialize_torsion.
 """
 
 import json
@@ -39,7 +36,6 @@ from .core import (
     Interval,
     InvariantError,
     Node,
-    Spelling,
     TorsionPair,
     YoungDiagram,
     _dyck_words,
@@ -250,9 +246,9 @@ def enumeration_lines(family: str, n: int):
     if family == "dyck":
         return _dyck_words(n, '"')
     if family == "young":
-        return _young_rows(n, Spelling(f'{{"n": {n}, "rows": [', str, _after, "]}"))
+        return _young_rows(n, (f'{{"n": {n}, "rows": [', str, _after, "]}"))
     if family == "perm213":
-        return _perms213(n, Spelling("[", str, _after, "]"))
+        return _perms213(n, ("[", str, _after, "]"))
     if family == "torsion":
         return starmap(_torsion_writer(n), torsion._torsion_masks(n))
     raise ValueError(f"unknown family {family!r}")

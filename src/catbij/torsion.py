@@ -11,12 +11,10 @@ the balls on ascending edges the torsion-free class: a left child spanning
 leaves i..j contributes torsion balls [i+1, j] .. [j, j], a right child
 spanning i..j contributes free balls [i, i] .. [i, j-1], with the
 children's spans read off node_spans.  Balls over neither edge kind belong
-to neither class.  Back from a class, the lowest member [a, b] of ball
-column a gives tilted column a - 1 the height n - b.  Those heights are the
-tree's column_profile: torsion_to_tree rebuilds the tree from them through
-the Dyck path, and the gapped frame and the rectangle decomposition are read
-off them.  Ambient 0 is ordinary: the empty tree has no balls and the empty
-pair.
+to neither class.  Back from a class, its column heights (_heights) are the
+tree's column_profile; the tree, the gapped frame and the rectangle
+decomposition are read off them.  Ambient 0 is ordinary: the empty tree has
+no balls and the empty pair.
 
 Two maps are the definitions the rest of the layer is checked against.  A
 pair of ball sets is a torsion pair exactly when torsion_generate gives it
@@ -24,37 +22,15 @@ back from its torsion class, and a RectangleSplit is a decomposition exactly
 when decompose_rectangle gives it back from the class it recomposes to.
 
 Every map here works on ball masks with per-ambient cached tables
-(_engine): generation and closure, which seed sweeps run over every subset
-of the triangle (2^15 subsets at n = 6), tree <-> class (one walk,
-_tree_masks), column heights (the lowest set bit of each ball column) and
-the rectangle split.  The public functions convert once, at the boundary,
-and their result sets are the engine's own Interval objects (_to_set), so
-no ball is built again.  _union reads the Hom and quotient tables a byte of
-mask at a time, from one 256-entry table of unions per 8 balls.  A sweep lands on few results: the ambient-n triangle has
-catalan(n) torsion classes and as many torsion-free classes, and
-torsion_generate, complete_torsion_hu, perp_right and perp_left only ever
-give one of those.  The engine's class table names each once, one frozenset
-per mask and one TorsionPair per (tors, free) pair of masks, so a class met
-again costs a dict lookup; the masks are still computed on every call.  The
-closure of a seed depends only on the seed's quotient closure, which holds,
-of the balls [a, b] with one b, those from some least a on: b + 1 choices
-for each b, n! sets in all (720 at n = 6).  The engine's closures memo runs
-the extension rule once per such set.  The class table and the memo are
-kept while 2 catalan(n) sets of up to n(n - 1)/2 balls fit core._KEEP ball
-references, that is for n <= 7 (at most 7! = 5,040 closures); above that
-every call builds fresh sets and closes from scratch.  tree_to_torsion,
-enumerate_torsion, the rectangle split and serialize's reader meet each
-result about once, so a table would only hold on to it: they build their
-own sets and pairs, of the engine's balls.  Enumeration joins the
-pairs' masks on the trees' split tables instead, in a layout of its own
-(_torsion_masks) that shifting a subtree's labels turns into a bit shift;
-it is also the layout serialize writes torsion text from, and the one
-tamari checks the order reversal on.
+(_engine) and converts once, at the public boundary.  The README's
+paragraph on `verify` suites describes the engine: the byte tables _union
+reads, the class table and the closure memo (kept up to ambient 7, by
+core._KEEP), and the sets and pairs of the engine's own balls.  Enumeration
+joins masks in a layout of its own, _torsion_masks.
 """
 
 from functools import lru_cache
 from itertools import compress
-from typing import NamedTuple
 
 from .bookshelf import _gapped_from_heights, tree_from_profile
 from .core import (
@@ -104,7 +80,7 @@ def perp_left(objs, n: int) -> frozenset:
 # Bitmask engine
 # ---------------------------------------------------------------------------
 
-class _Engine(NamedTuple):
+class _Engine(_Record):
     """Per-ambient tables.  Bit i of a mask stands for balls[i], the balls in
     sorted order, so ball [a, b] is bit row[a] + b, with
     row[a] = (a - 1) n - a (a + 1) / 2 for a = 0..n: ball column d + 1 starts
@@ -117,17 +93,14 @@ class _Engine(NamedTuple):
     TorsionPair and closures maps a quotient-closed mask to its closure
     under both of complete_torsion_hu's rules."""
 
-    balls: tuple
-    row: list
-    ending: list
-    full: int
-    hom_from: tuple
-    hom_to: tuple
-    quot: tuple
-    ext: tuple
-    sets: dict | None
-    pairs: dict | None
-    closures: dict | None
+    __slots__ = __match_args__ = (
+        "balls", "row", "ending", "full", "hom_from", "hom_to", "quot", "ext",
+        "sets", "pairs", "closures",
+    )
+
+    def __init__(self, *values):
+        for name, value in zip(self.__match_args__, values):
+            _set(self, name, value)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 """Exhaustive property suites behind the `verify` CLI verb.
 
-Each check runs over every object up to the requested size and reports the
-first counterexample it finds, as a serialized document.  Suites:
+Each check runs over every object up to the requested size and reports its
+first three counterexamples, as serialized documents (_check).  Suites:
 
     roundtrips      every bijection composed with its inverse is the identity
     commutativity   the shelf construction equals bookshelf (the Dyck
@@ -32,9 +32,6 @@ from .core import (
     to_paren,
     YoungDiagram,
 )
-
-SUITES = ("roundtrips", "commutativity", "torsion", "tamari", "all")
-
 
 def _gap_insertion(rows, n):
     """The paper's gap-insertion inverse of the bookshelf, a search that
@@ -73,68 +70,72 @@ def _gap_insertion(rows, n):
     return None
 
 
-def _check(name, failures, report):
-    report["checks"].append(
-        {"name": name, "passed": not failures, "counterexamples": failures[:3]}
-    )
+def _check(name, failures):
+    return {"name": name, "passed": not failures, "counterexamples": failures[:3]}
+
+
+def _report(suite, n_max, checks):
+    return {
+        "suite": suite,
+        "n_max": n_max,
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+    }
 
 
 def verify_roundtrips(n_max: int) -> dict:
-    report = {"suite": "roundtrips", "n_max": n_max, "checks": []}
-    fails = []
+    tree_fails = []
     for n in range(n_max + 1):
         for t in enumerate_trees(n):
             if dyck.dyck_to_tree(dyck.tree_to_dyck(t)) != t:
-                fails.append(to_paren(t))
-    _check("tree->dyck->tree", fails, report)
+                tree_fails.append(to_paren(t))
 
-    fails = []
+    path_fails = []
     for n in range(n_max + 1):
         for w in enumerate_dyck(n):
             p = dyck.DyckPath(w)
             if dyck.tree_to_dyck(dyck.dyck_to_tree(p)).steps != w:
-                fails.append(w)
+                path_fails.append(w)
             if dyck.young_to_dyck(dyck.dyck_to_young(p)).steps != w:
-                fails.append(w)
-    _check("dyck->tree->dyck and dyck->young->dyck", fails, report)
+                path_fails.append(w)
 
-    fails = []
+    shelf_fails = []
     for n in range(n_max + 1):
         for t in enumerate_trees(n):
             if inverse_bookshelf(bookshelf(t), n) != t:
-                fails.append(to_paren(t))
+                shelf_fails.append(to_paren(t))
         for rows in enumerate_young(n):
             y = YoungDiagram(rows, n)
             t = inverse_bookshelf(y, n)
             if bookshelf(t) != y or _gap_insertion(rows, n) != t:
-                fails.append(serialize.serialize_young(y))
-    _check("bookshelf both ways", fails, report)
+                shelf_fails.append(serialize.serialize_young(y))
 
-    fails = []
+    perm_fails = []
     for n in range(n_max + 1):
         for p in enumerate_perms213(n):
             if baseball.tree_to_perm(baseball.perm_to_tree(p)) != p:
-                fails.append(list(p))
+                perm_fails.append(list(p))
         for t in enumerate_trees(n):
             p = baseball.tree_to_perm(t)
             if baseball.perm_to_tree(p) != t or baseball.trace_wires(t) != p:
-                fails.append(to_paren(t))
-    _check("perm <-> tree", fails, report)
+                perm_fails.append(to_paren(t))
 
-    fails = []
+    torsion_fails = []
     for n in range(n_max + 1):
         for t in enumerate_trees(n):
             g = torsion.tree_to_torsion(t).torsion
             if torsion.torsion_to_tree(g, n) != t:
-                fails.append(to_paren(t))
-    _check("tree <-> torsion", fails, report)
-
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
+                torsion_fails.append(to_paren(t))
+    return _report("roundtrips", n_max, [
+        _check("tree->dyck->tree", tree_fails),
+        _check("dyck->tree->dyck and dyck->young->dyck", path_fails),
+        _check("bookshelf both ways", shelf_fails),
+        _check("perm <-> tree", perm_fails),
+        _check("tree <-> torsion", torsion_fails),
+    ])
 
 
 def verify_commutativity(n_max: int) -> dict:
-    report = {"suite": "commutativity", "n_max": n_max, "checks": []}
     route_fails, frame_fails = [], []  # each tree's gapped frame is built once
     for n in range(n_max + 1):
         for t in enumerate_trees(n):
@@ -144,26 +145,22 @@ def verify_commutativity(n_max: int) -> dict:
             g = torsion.tree_to_torsion(t).torsion
             if torsion.torsion_to_gapped_young(g, n) != frame:
                 frame_fails.append(to_paren(t))
-    _check("bookshelf == dyck route", route_fails, report)
-    _check("torsion gapped frame == bookshelf gapped frame", frame_fails, report)
-
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
+    return _report("commutativity", n_max, [
+        _check("bookshelf == dyck route", route_fails),
+        _check("torsion gapped frame == bookshelf gapped frame", frame_fails),
+    ])
 
 
 def verify_torsion(n_max: int) -> dict:
-    report = {"suite": "torsion", "n_max": n_max, "checks": []}
-
-    fails = []
+    hom_fails = []
     for n in range(1, n_max + 1):
         balls = sorted(torsion.all_balls(n))
         for x in balls:
             if not torsion.hom_nonzero(x, x, n):
-                fails.append([x.a, x.b])
+                hom_fails.append([x.a, x.b])
             for y in balls:
                 if x != y and torsion.hom_nonzero(x, y, n) and torsion.hom_nonzero(y, x, n):
-                    fails.append([[x.a, x.b], [y.a, y.b]])
-    _check("hom reflexive and antisymmetric", fails, report)
+                    hom_fails.append([[x.a, x.b], [y.a, y.b]])
 
     pair_fails, generate_fails, split_fails = [], [], []  # one tree_to_torsion per tree
     for n in range(n_max + 1):
@@ -177,10 +174,8 @@ def verify_torsion(n_max: int) -> dict:
             split = torsion.decompose_rectangle(g, n)
             if torsion.recompose_rectangle(split, n) != g:
                 split_fails.append(to_paren(t))
-    _check("trees give torsion pairs (both clauses)", pair_fails, report)
-    _check("generation is idempotent on classes", generate_fails, report)
 
-    fails = []
+    closure_fails = []
     for n in range(min(n_max, 5) + 1):
         balls = sorted(torsion.all_balls(n))
         for r in range(len(balls) + 1):
@@ -188,63 +183,57 @@ def verify_torsion(n_max: int) -> dict:
                 got = torsion.complete_torsion_hu(seed, n)
                 want = torsion.torsion_generate(seed, n).torsion
                 if got != want:
-                    fails.append(sorted([x.a, x.b] for x in seed))
-    _check("closure rules == perpendicular generation (all seeds, n <= 5)", fails, report)
-    _check("rectangle decomposition round trip", split_fails, report)
-
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
+                    closure_fails.append(sorted([x.a, x.b] for x in seed))
+    return _report("torsion", n_max, [
+        _check("hom reflexive and antisymmetric", hom_fails),
+        _check("trees give torsion pairs (both clauses)", pair_fails),
+        _check("generation is idempotent on classes", generate_fails),
+        _check("closure rules == perpendicular generation (all seeds, n <= 5)", closure_fails),
+        _check("rectangle decomposition round trip", split_fails),
+    ])
 
 
 def verify_tamari(n_max: int) -> dict:
-    report = {"suite": "tamari", "n_max": n_max, "checks": []}
-
-    fails = []
+    lattice_fails = []
     for n in range(1, n_max + 1):
         p = tamari.build_lattice(n)
         if len(p.nodes) != catalan(n):
-            fails.append({"n": n, "nodes": len(p.nodes)})
+            lattice_fails.append({"n": n, "nodes": len(p.nodes)})
         if not tamari.is_lattice(p):
-            fails.append({"n": n, "lattice": False})
-    _check("node counts and lattice property", fails, report)
-
-    fails = []
+            lattice_fails.append({"n": n, "lattice": False})
+    order_fails = []
     for n in range(1, n_max + 1):
         if not tamari.verify_order_reversing(n):
-            fails.append({"n": n})
-    _check("torsion bijection reverses covers", fails, report)
-
-    fails = []
+            order_fails.append({"n": n})
+    chain_fails = []
     expected = {1: 1, 2: 1, 3: 2, 4: 9}
     for n, want in expected.items():
         if n <= n_max and tamari.count_maximal_chains(n) != want:
-            fails.append({"n": n, "chains": tamari.count_maximal_chains(n)})
-    _check("maximal chain counts", fails, report)
+            chain_fails.append({"n": n, "chains": tamari.count_maximal_chains(n)})
+    return _report("tamari", n_max, [
+        _check("node counts and lattice property", lattice_fails),
+        _check("torsion bijection reverses covers", order_fails),
+        _check("maximal chain counts", chain_fails),
+    ])
 
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    return report
+
+def _all(n_max: int) -> dict:
+    subs = [suite(n_max) for name, suite in SUITES.items() if name != "all"]
+    return _report("all", n_max, [c for s in subs for c in s["checks"]])
+
+
+# name: the suite's report.  Each suite is looked up when called, so that a
+# patched module attribute is the one called; tamari is clamped to n <= 6.
+SUITES = {
+    "roundtrips": lambda n_max: verify_roundtrips(n_max),
+    "commutativity": lambda n_max: verify_commutativity(n_max),
+    "torsion": lambda n_max: verify_torsion(n_max),
+    "tamari": lambda n_max: verify_tamari(min(n_max, 6)),
+    "all": lambda n_max: _all(n_max),
+}
 
 
 def run_suite(suite: str, n_max: int) -> dict:
-    if suite == "roundtrips":
-        return verify_roundtrips(n_max)
-    if suite == "commutativity":
-        return verify_commutativity(n_max)
-    if suite == "torsion":
-        return verify_torsion(n_max)
-    if suite == "tamari":
-        return verify_tamari(min(n_max, 6))
-    if suite == "all":
-        subs = [
-            verify_roundtrips(n_max),
-            verify_commutativity(n_max),
-            verify_torsion(n_max),
-            verify_tamari(min(n_max, 6)),
-        ]
-        return {
-            "suite": "all",
-            "n_max": n_max,
-            "checks": [c for s in subs for c in s["checks"]],
-            "passed": all(s["passed"] for s in subs),
-        }
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return SUITES[suite](n_max)

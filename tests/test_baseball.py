@@ -17,10 +17,8 @@ from catbij import (
     from_paren,
     is_213_avoiding,
     node_coordinates,
-    perm_to_torsion,
     perm_to_tree,
     size,
-    torsion_to_perm,
     trace_wires,
     tree_to_perm,
     tree_to_torsion,
@@ -169,17 +167,17 @@ def test_tree_to_perm_self_check_raises_a_catbij_error(monkeypatch):
 
 
 def test_torsion_permutation_bridge():
-    from catbij import all_balls, left_comb, right_comb
+    from catbij import all_balls, right_comb, torsion_to_tree
 
     # empty class: all crossballs, the reversed word at the lattice top;
     # full class: all baseballs, the identity at the bottom
-    assert torsion_to_perm(frozenset(), 4) == (4, 3, 2, 1)
-    assert torsion_to_perm(all_balls(4), 4) == (1, 2, 3, 4)
+    assert tree_to_perm(torsion_to_tree(frozenset(), 4)) == (4, 3, 2, 1)
+    assert tree_to_perm(torsion_to_tree(all_balls(4), 4)) == (1, 2, 3, 4)
     for n in range(2, 7):
-        assert torsion_to_perm(frozenset(), n) == tree_to_perm(right_comb(n))
-        assert torsion_to_perm(all_balls(n), n) == tuple(range(1, n + 1))
+        assert tree_to_perm(torsion_to_tree(frozenset(), n)) == tree_to_perm(right_comb(n))
+        assert tree_to_perm(torsion_to_tree(all_balls(n), n)) == tuple(range(1, n + 1))
     for n in range(1, 7):
         for t in enumerate_trees(n):
             g = tree_to_torsion(t).torsion
-            p = torsion_to_perm(g, n)
-            assert perm_to_torsion(p) == g
+            p = tree_to_perm(torsion_to_tree(g, n))
+            assert tree_to_torsion(perm_to_tree(p)).torsion == g

@@ -1,6 +1,9 @@
 """Command line behavior: verbs, formats, exit codes, conversion coherence."""
 
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import tracemalloc
 
@@ -347,6 +350,30 @@ def test_render_torsion_svg(capsys):
     )
     code, out, _ = run(capsys, "render", "torsion", "--backend", "svg", "--input", doc)
     assert code == 0 and out.count("<circle") == 15
+
+
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+def test_render_out_to_an_unwritable_path(capsys, tmp_path, where):
+    # a missing directory, then a directory
+    out_path = str(tmp_path / where)
+    code, out, err = run(capsys, "render", "tree", "--input", '"(..)"', "--out", out_path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write")
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    import catbij
+
+    src = pathlib.Path(catbij.__file__).resolve().parent.parent
+    argv = [sys.executable, "-m", "catbij.cli", "enumerate", "tree", "--n", "10"]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # the first line, then the pipe closes with about 0.9 MB still to write
+    assert proc.stdout.readline() == '"(•(•(•(•(•(•(•(•(•(••))))))))))"\n'.encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_render_usage_error(capsys):

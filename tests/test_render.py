@@ -1,5 +1,6 @@
 """Renderer determinism and snapshot checks."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 from catbij import (
@@ -8,7 +9,9 @@ from catbij import (
     TorsionPair,
     YoungDiagram,
     build_lattice,
+    enumerate_torsion,
     enumerate_trees,
+    enumerate_young,
     from_paren,
     to_paren,
 )
@@ -108,3 +111,35 @@ def test_lattice_dot_names_cover_trees_outside_the_nodes():
     assert dot == dot_naming_every_tree(p)
     for t in ends:
         assert f'"{to_paren(t)}"' in dot and f'"{to_paren(t)}" [shape=box]' not in dot
+
+
+# Regression pins, taken from the renderers at commit 4cb0ede: the sha256 of
+# each renderer's output over every object up to a size, in enumeration order.
+RENDER_PINS = {
+    "tree ascii and wire svg, n <= 8":
+        "9147e96dd99b3a3bd7290d3a347bc7ca0e5e75b921b24e266db650b8cf261f47",
+    "torsion svg, n <= 6": "cab7ebc2885e987c3d2a5852143b0d979b47a3cc61ec455bd02ab39888c185b6",
+    "young ascii, n <= 6": "c07445bac516c5fcdedb0795cf562371eaef4b7de2b523491f6e0d21dce4b33f",
+}
+
+
+def test_render_output_regression_pins():
+    def digest(texts):
+        h = hashlib.sha256()
+        for text in texts:
+            h.update(text.encode("utf-8"))
+        return h.hexdigest()
+
+    trees = [t for n in range(9) for t in enumerate_trees(n)]
+    got = {
+        "tree ascii and wire svg, n <= 8":
+            digest(s for t in trees for s in (render_tree_ascii(t), render_wire_svg(t))),
+        "torsion svg, n <= 6":
+            digest(render_torsion_svg(p, n) for n in range(7) for p in enumerate_torsion(n)),
+        "young ascii, n <= 6": digest(
+            render_young_ascii(YoungDiagram(rows, n))
+            for n in range(7)
+            for rows in enumerate_young(n)
+        ),
+    }
+    assert got == RENDER_PINS
