@@ -54,8 +54,10 @@ _FAMILY = {
 }
 FAMILIES = tuple(_FAMILY)
 
-# (family, backend): draw what _read gives for the family
+# (family, backend): draw what _read gives for the family; the lattice is
+# drawn from --n
 _RENDER = {
+    ("lattice", "dot"): lambda n: render.render_lattice_dot(tamari.build_lattice(n)),
     ("young", "ascii"): lambda y: render.render_young_ascii(y),
     ("tree", "ascii"): lambda t: render.render_tree_ascii(t),
     ("torsion", "svg"): lambda tp: render.render_torsion_svg(tp, tp.n),
@@ -82,9 +84,15 @@ def _to_tree(family: str, text: str):
 
 
 def _from_tree(family: str, t, fmt: str) -> str:
-    if family == "tree" and fmt == "paren":
+    if fmt == "paren":
         return to_paren(t)
     return _FAMILY[family][3](t)
+
+
+def _paren_refused(family: str, fmt: str):
+    """The error line for --format paren with a family other than tree."""
+    if fmt == "paren" and family != "tree":
+        return f"--format paren is for family 'tree', not {family!r}"
 
 
 def _read_input(args) -> str:
@@ -102,7 +110,9 @@ def cmd_enumerate(args) -> int:
         return _die("enumerate needs --n")
     if n < 0 or n > _MAX_N:
         return _die(f"n={n} out of bounds for {family} (0..{_MAX_N})")
-    if family == "tree" and args.format == "paren":
+    if refused := _paren_refused(family, args.format):
+        return _die(refused)
+    if args.format == "paren":
         lines = enumerate_parens(n)
     else:
         lines = serialize.enumeration_lines(family, n)
@@ -116,6 +126,8 @@ def cmd_enumerate(args) -> int:
 def cmd_convert(args) -> int:
     if args.source not in FAMILIES or args.target not in FAMILIES:
         return _die(f"families must come from {', '.join(FAMILIES)}")
+    if refused := _paren_refused(args.target, args.format):
+        return _die(refused)
     t = _to_tree(args.source, _read_input(args))  # main reports a CatbijError
     print(_from_tree(args.target, t, args.format))
     return 0
@@ -124,24 +136,21 @@ def cmd_convert(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in verify.SUITES:
         return _die(f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITES)}")
-    if not 2 <= args.n_max <= 9:
-        return _die("verify needs --n-max in 2..9")
-    report = verify.run_suite(args.suite, args.n_max)
+    report = verify.run_suite(args.suite, args.n_max)  # main reports a bad --n-max
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 2
 
 
 def cmd_render(args) -> int:
-    if args.family == "lattice":  # drawn from --n, whatever the backend
+    draw = _RENDER.get((args.family, args.backend))
+    if draw is None:
+        return _die(f"no {args.backend!r} backend for family {args.family!r}")
+    if args.family == "lattice":
         if args.n is None or not (1 <= args.n <= 8):
             return _die("render lattice needs --n in 1..8")
-        out = render.render_lattice_dot(tamari.build_lattice(args.n))
+        out = draw(args.n)
     else:
-        text = _read_input(args)
-        draw = _RENDER.get((args.family, args.backend))
-        if draw is None:
-            return _die(f"no {args.backend!r} backend for family {args.family!r}")
-        out = draw(_read(args.family, text))
+        out = draw(_read(args.family, _read_input(args)))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

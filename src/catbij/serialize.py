@@ -53,7 +53,9 @@ from .errors import MalformedDocumentError
 def _load(text):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, TypeError, RecursionError) as exc:
+    # ValueError: a JSONDecodeError, or an int of more digits than
+    # sys.get_int_max_str_digits() allows
+    except (ValueError, TypeError, RecursionError) as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from exc
 
 

@@ -24,9 +24,10 @@ when decompose_rectangle gives it back from the class it recomposes to.
 Every map here works on ball masks with per-ambient cached tables
 (_engine) and converts once, at the public boundary.  The README's
 paragraph on `verify` suites describes the engine: the byte tables _union
-reads, the class table and the closure memo (kept up to ambient 7, by
-core._KEEP), and the sets and pairs of the engine's own balls.  Enumeration
-joins masks in a layout of its own, _torsion_masks.
+reads; the memos, kept up to ambient 7 (by core._KEEP), of one closure and
+one pair per quotient-closed seed (720 at ambient 6), the pairs sharing one
+set per class; and the two mask layouts, the engine's and the shifting one
+enumeration joins in (_torsion_masks).
 """
 
 from functools import lru_cache
@@ -66,8 +67,7 @@ def hom_nonzero(x: Interval, y: Interval, n: int) -> bool:
 
 def perp_right(objs, n: int) -> frozenset:
     """Balls receiving no nonzero Hom from any member of objs."""
-    e = _engine(n)
-    return _class_set(e.full & ~_union(_to_mask(objs, n, e.row), e.hom_from), e)
+    return torsion_generate(objs, n).free
 
 
 def perp_left(objs, n: int) -> frozenset:
@@ -87,15 +87,17 @@ class _Engine(_Record):
     at bit row[d] + n, and from there on the columns have the layout of
     ambient n - d, labels lowered by d.  ending[b] holds the balls [a, b].
 
-    hom_from, hom_to and quot are byte tables for _union.  The last three
-    are None when the class table is not kept: sets maps a mask to the
-    frozenset of its balls, pairs maps (tors, free) masks to their
-    TorsionPair and closures maps a quotient-closed mask to its closure
-    under both of complete_torsion_hu's rules."""
+    hom_from, hom_to and quot are byte tables for _union.  The memos are
+    kept while kept is true; otherwise they are None, and a throwaway {}
+    stands in at each call.  sets maps a mask to the frozenset of its balls,
+    one per class.  pairs and closures are keyed by a seed's quotient
+    closure (n! keys, 720 at ambient 6): pairs holds its TorsionPair, made
+    of the sets, and closures its closure under both of
+    complete_torsion_hu's rules."""
 
     __slots__ = __match_args__ = (
         "balls", "row", "ending", "full", "hom_from", "hom_to", "quot", "ext",
-        "sets", "pairs", "closures",
+        "kept", "sets", "pairs", "closures",
     )
 
     def __init__(self, *values):
@@ -137,7 +139,7 @@ def _engine(n: int) -> _Engine:
     return _Engine(
         balls, row, ending, (1 << m) - 1,
         _byte_tables(hom_from), _byte_tables(hom_to), _byte_tables(quot), tuple(ext),
-        *(({}, {}, {}) if kept else (None, None, None)),
+        kept, *(({}, {}, {}) if kept else (None, None, None)),
     )
 
 
@@ -170,9 +172,7 @@ def _to_set(mask, balls):
 
 def _class_set(mask, e):
     """_to_set(mask, e.balls), made once per mask while e.sets is kept."""
-    sets = e.sets
-    if sets is None:
-        return _to_set(mask, e.balls)
+    sets = e.sets if e.kept else {}
     got = sets.get(mask)
     if got is None:  # setdefault: of two racing threads, both get the first
         got = sets.setdefault(mask, _to_set(mask, e.balls))
@@ -197,21 +197,16 @@ def _generate_mask(seed_mask, e):
 def torsion_generate(seed, n: int) -> TorsionPair:
     """Smallest torsion pair whose torsion class contains the seed."""
     e = _engine(n)
-    tors, free = key = _generate_mask(_to_mask(seed, n, e.row), e)
-    if e.pairs is None:
-        return TorsionPair(_to_set(tors, e.balls), _to_set(free, e.balls), n)
-    got = e.pairs.get(key)  # keyed by both masks, so no wrong mask can hit
+    # a quotient [a', b] of [a, b] with nonzero Hom to [c, d] has
+    # a <= a' <= c <= b <= d, so [a, b] has it too: a seed and its quotient
+    # closure have one perp, and the closure keys e.pairs
+    closed = _union(_to_mask(seed, n, e.row), e.quot)
+    pairs = e.pairs if e.kept else {}
+    got = pairs.get(closed)
     if got is None:
-        pair = TorsionPair(_class_set(tors, e), _class_set(free, e), n)
-        got = e.pairs.setdefault(key, pair)
+        tors, free = _generate_mask(closed, e)
+        got = pairs.setdefault(closed, TorsionPair(_class_set(tors, e), _class_set(free, e), n))
     return got
-
-
-def is_torsion_pair(tors, free, n: int) -> bool:
-    """Whether generation from the torsion class gives (tors, free) back."""
-    e = _engine(n)
-    tors_mask = _to_mask(tors, n, e.row)
-    return _generate_mask(tors_mask, e) == (tors_mask, _to_mask(free, n, e.row))
 
 
 def is_torsion_class(objs, n: int) -> bool:
@@ -234,18 +229,14 @@ def _complete_mask(seed_mask, e):
     # quot holds each ball's transitive lower-right closure, so closed is
     # closed under that rule, and the closure under both rules depends on
     # closed alone: e.closures holds it once per quotient-closed mask
-    closed = _union(seed_mask, e.quot)
-    memo = e.closures
-    got = None if memo is None else memo.get(closed)
-    if got is not None:
-        return got
-    key = closed
-    while True:
-        grown = _extend(closed, e.ext)
-        if grown == closed:  # a pass adding no top: closed under both rules
-            break
-        closed = _union(grown, e.quot)
-    return closed if memo is None else memo.setdefault(key, closed)
+    key = closed = _union(seed_mask, e.quot)
+    memo = e.closures if e.kept else {}
+    got = memo.get(key)
+    if got is None:
+        while (grown := _extend(closed, e.ext)) != closed:  # a pass adding no top ends it
+            closed = _union(grown, e.quot)
+        got = memo.setdefault(key, closed)
+    return got
 
 
 def complete_torsion_hu(seed, n: int) -> frozenset:

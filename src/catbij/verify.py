@@ -32,6 +32,7 @@ from .core import (
     to_paren,
     YoungDiagram,
 )
+from .errors import InvariantError
 
 def _gap_insertion(rows, n):
     """The paper's gap-insertion inverse of the bookshelf, a search that
@@ -234,6 +235,10 @@ SUITES = {
 
 
 def run_suite(suite: str, n_max: int) -> dict:
+    """The report of suite up to n_max, the documented 2..9: below 2 some
+    check sees no object, above 9 the sweep runs for minutes."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if not 2 <= n_max <= 9:
+        raise InvariantError(f"verify needs n_max in 2..9, got {n_max}")
     return SUITES[suite](n_max)

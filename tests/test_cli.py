@@ -211,10 +211,22 @@ def test_verify_rejects_n_max_outside_2_to_9(capsys, monkeypatch, n_max):
     # so the suite must not even start
     import catbij.verify as v
 
-    monkeypatch.setattr(v, "run_suite", lambda suite, n_max: pytest.fail("suite ran"))
+    for name in v.SUITES:
+        monkeypatch.setitem(v.SUITES, name, lambda n_max: pytest.fail("suite ran"))
     code, out, err = run(capsys, "verify", "all", "--n-max", n_max)
     assert code == 1 and out == ""
-    assert "2..9" in err
+    assert err.startswith("error:") and "2..9" in err
+
+
+@pytest.mark.parametrize("n_max", [1, 10])
+def test_run_suite_refuses_n_max_outside_2_to_9(monkeypatch, n_max):
+    from catbij import InvariantError
+    import catbij.verify as v
+
+    for name in v.SUITES:
+        monkeypatch.setitem(v.SUITES, name, lambda n_max: pytest.fail("suite ran"))
+    with pytest.raises(InvariantError, match=r"2\.\.9"):
+        v.run_suite("all", n_max)
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
@@ -338,6 +350,38 @@ def test_render_lattice_is_bounded_like_lattice(capsys, monkeypatch, n):
     code, out, err = run(capsys, "render", "lattice", "--n", n, "--backend", "dot")
     assert code == 1 and out == ""
     assert "1..8" in err
+
+
+@pytest.mark.parametrize("backend", [None, "ascii", "svg"])
+def test_render_lattice_refuses_a_backend_other_than_dot(capsys, monkeypatch, backend):
+    from catbij import tamari
+
+    monkeypatch.setattr(tamari, "build_lattice", lambda n: pytest.fail("lattice built"))
+    argv = ["render", "lattice", "--n", "3"] + (["--backend", backend] if backend else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: no {backend or 'ascii'!r} backend for family 'lattice'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "dyck", "--n", "2", "--format", "paren"],
+        ["enumerate", "torsion", "--n", "2", "--format", "paren"],
+        ["convert", "tree", "dyck", "--input", '"(..)"', "--format", "paren"],
+        ["convert", "dyck", "young", "--input", '"URUR"', "--format", "paren"],
+    ],
+    ids=["enumerate-dyck", "enumerate-torsion", "convert-to-dyck", "convert-to-young"],
+)
+def test_paren_format_is_refused_for_a_family_other_than_tree(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --format paren is for family 'tree'")
+
+
+def test_paren_format_converts_to_a_tree(capsys):
+    code, out, _ = run(capsys, "convert", "dyck", "tree", "--input", '"URUR"', "--format", "paren")
+    assert code == 0 and out == "((••)•)\n"
 
 
 def test_render_torsion_svg(capsys):
