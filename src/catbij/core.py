@@ -10,7 +10,8 @@ with every edge stretched so that all leaves sit on the bottom level.  In that
 drawing an internal node whose subtree spans leaves i..j (0-indexed, left to
 right) of a size-n tree sits at coordinate (n - j, i), where the first entry
 counts steps along the left root axis and the second along the right.
-Every bijection out of a tree reads its family off one walk, node_spans.
+Every bijection out of a tree reads its family off one walk, node_spans,
+made once per tree and kept on it.
 
 The enumerators of trees, Dyck words, staircase rows and 213-avoiders build
 each object of size n as one join of a few pieces from tables of the
@@ -101,15 +102,17 @@ class Leaf(_Record):
 
 
 class Node(_Record):
-    """An internal node.  Immutable; its size is stored at construction and
-    its hash is computed on first use and then kept.
+    """An internal node.  Immutable; its size is stored at construction,
+    and its spans and hash are computed on first use and then kept.
 
-    Equality is structural; it and the hash read node_spans, a loop, so any
-    depth works.  Hashing is lazy because most trees are never hashed
-    (enumeration, the bijections), while the lattice hashes its trees often.
+    Equality is structural; it and the hash read the kept spans
+    (node_spans), made by a loop, so any depth works.  Both are lazy because
+    most subtrees are never walked or hashed on their own (enumeration shares
+    them), while verify and the lattice compare, hash and map each of their
+    trees many times.
     """
 
-    __slots__ = ("left", "right", "size", "_hash")
+    __slots__ = ("left", "right", "size", "_hash", "_spans")
     __match_args__ = ("left", "right")
 
     def __init__(self, left: "BinaryTree", right: "BinaryTree"):
@@ -132,7 +135,7 @@ class Node(_Record):
         try:
             return self._hash
         except AttributeError:
-            h = hash(tuple(node_spans(self)))
+            h = hash(node_spans(self))
             _set_hash(self, h)
             return h
 
@@ -141,6 +144,7 @@ _set_left = Node.left.__set__
 _set_right = Node.right.__set__
 _set_size = Node.size.__set__
 _set_hash = Node._hash.__set__
+_set_spans = Node._spans.__set__
 
 BinaryTree = Leaf | Node
 
@@ -218,11 +222,19 @@ def right_comb(n: int) -> BinaryTree:
     return t
 
 
-def node_spans(t: BinaryTree) -> list:
+def node_spans(t: BinaryTree) -> tuple:
     """(i, m, j) for every internal node of t, in preorder: the node spans
     leaves i..j (numbered 0..size(t) left to right) and its children span
     i..m and m+1..j.  One explicit-stack pass, so any depth is walked.
+
+    The tuple is kept on t, its root, so each tree is walked once.  Two
+    threads that walk it at once each set an equal tuple, and either stays.
     """
+    try:
+        return t._spans
+    except AttributeError:  # a Node not yet walked, or the Leaf
+        if not t.size:
+            return ()
     out = []
     todo = [(t, 0)]  # a subtree and its first leaf
     while todo:
@@ -233,7 +245,9 @@ def node_spans(t: BinaryTree) -> list:
             if x.right.size:
                 todo.append((x.right, m + 1))
             x = x.left
-    return out
+    spans = tuple(out)
+    _set_spans(t, spans)
+    return spans
 
 
 def node_coordinates(t: BinaryTree) -> dict:

@@ -25,9 +25,10 @@ Every map here works on ball masks with per-ambient cached tables
 (_engine) and converts once, at the public boundary.  The README's
 paragraph on `verify` suites describes the engine: the byte tables _union
 reads; the memos, kept up to ambient 7 (by core._KEEP), of one closure and
-one pair per quotient-closed seed (720 at ambient 6), the pairs sharing one
-set per class; and the two mask layouts, the engine's and the shifting one
-enumeration joins in (_torsion_masks).
+one pair per quotient-closed seed (720 at ambient 6), of one set per class,
+which the pairs, tree_to_torsion and recompose_rectangle share, and of one
+rectangle split per class; and the two mask layouts, the engine's and the
+shifting one enumeration joins in (_torsion_masks).
 """
 
 from functools import lru_cache
@@ -93,11 +94,12 @@ class _Engine(_Record):
     one per class.  pairs and closures are keyed by a seed's quotient
     closure (n! keys, 720 at ambient 6): pairs holds its TorsionPair, made
     of the sets, and closures its closure under both of
-    complete_torsion_hu's rules."""
+    complete_torsion_hu's rules.  splits maps a class mask to its
+    RectangleSplit, one per class (catalan(n) keys, 132 at ambient 6)."""
 
     __slots__ = __match_args__ = (
         "balls", "row", "ending", "full", "hom_from", "hom_to", "quot", "ext",
-        "kept", "sets", "pairs", "closures",
+        "kept", "sets", "pairs", "closures", "splits",
     )
 
     def __init__(self, *values):
@@ -132,14 +134,14 @@ def _engine(n: int) -> _Engine:
                 top = row[x.a] + y.b
                 bottom = row[y.a] + x.b if y.a <= x.b else -1
                 ext.append((1 << i | 1 << j, 1 << top, bottom))
-    # the class table and the closure memo (module docstring): at most
-    # 2 catalan(n) sets of up to n(n - 1)/2 balls, kept while that many ball
-    # references fit _KEEP
+    # the memos (module docstring): at most 2 catalan(n) class sets of up to
+    # n(n - 1)/2 balls, and catalan(n) splits of no more balls, kept while
+    # that many ball references fit _KEEP
     kept = catalan(n) * n * (n - 1) <= _KEEP
     return _Engine(
         balls, row, ending, (1 << m) - 1,
         _byte_tables(hom_from), _byte_tables(hom_to), _byte_tables(quot), tuple(ext),
-        kept, *(({}, {}, {}) if kept else (None, None, None)),
+        kept, *(({}, {}, {}, {}) if kept else (None,) * 4),
     )
 
 
@@ -272,7 +274,7 @@ def tree_to_torsion(t: BinaryTree) -> TorsionPair:
     n = size(t)
     e = _engine(n)
     tors, free = _tree_masks(t, e)
-    return TorsionPair(_to_set(tors, e.balls), _to_set(free, e.balls), n)
+    return TorsionPair(_class_set(tors, e), _class_set(free, e), n)
 
 
 def _heights(mask, n: int) -> list:
@@ -374,7 +376,20 @@ def decompose_rectangle(objs, n: int) -> RectangleSplit:
     """Split a torsion class around the largest apex rectangle whose bottom
     corner is a member simple ball."""
     e = _engine(n)
-    mask = _class_mask(objs, n, e)
+    return _split(_class_mask(objs, n, e), n, e)
+
+
+def _split(mask, n, e):
+    """The RectangleSplit of the class mask, made once per class while
+    e.splits is kept."""
+    splits = e.splits if e.kept else {}
+    got = splits.get(mask)
+    if got is None:
+        got = splits.setdefault(mask, _make_split(mask, n, e))
+    return got
+
+
+def _make_split(mask, n, e):
     if not mask:
         return RectangleSplit(0, 0, frozenset(), frozenset(), frozenset())
     heights = _heights(mask, n)
@@ -408,7 +423,7 @@ def recompose_rectangle(split: RectangleSplit, n: int) -> frozenset:
         raise InvariantError("split is not a rectangle decomposition")
     right = _to_mask(split.right, n - shift, _engine(n - shift).row)
     pieces = _to_mask(split.left | split.rectangle, n, e.row) | right << (e.row[shift] + n)
-    objs = _to_set(_tree_masks(tree_from_profile(_heights(pieces, n)), e)[0], e.balls)
-    if decompose_rectangle(objs, n) != split:
+    mask = _tree_masks(tree_from_profile(_heights(pieces, n)), e)[0]  # a class: a tree's
+    if _split(mask, n, e) != split:
         raise InvariantError("split is not a rectangle decomposition")
-    return objs
+    return _class_set(mask, e)

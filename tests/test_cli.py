@@ -86,6 +86,14 @@ def test_enumerate_usage_errors(capsys):
     assert code == 1 and "out of bounds" in err
 
 
+@pytest.mark.parametrize("family", ["tree", "dyck", "young", "perm213", "torsion"])
+def test_enumerate_enforces_the_documented_bound(capsys, family):
+    for n in ("--n=-1", "--n=13"):  # just past 0..12
+        code, out, err = run(capsys, "enumerate", family, n)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "out of bounds" in err
+
+
 def test_convert_dyck_to_young(capsys):
     code, out, _ = run(capsys, "convert", "dyck", "young", "--input", '"URURUR"')
     assert code == 0
@@ -348,6 +356,16 @@ def test_render_lattice_is_bounded_like_lattice(capsys, monkeypatch, n):
 
     monkeypatch.setattr(tamari, "build_lattice", lambda n: pytest.fail("lattice built"))
     code, out, err = run(capsys, "render", "lattice", "--n", n, "--backend", "dot")
+    assert code == 1 and out == ""
+    assert "1..8" in err
+
+
+@pytest.mark.parametrize("n", ["0", "9", "20"])
+def test_lattice_enforces_the_documented_bound(capsys, monkeypatch, n):
+    from catbij import tamari
+
+    monkeypatch.setattr(tamari, "build_lattice", lambda n: pytest.fail("lattice built"))
+    code, out, err = run(capsys, "lattice", "--n", n)
     assert code == 1 and out == ""
     assert "1..8" in err
 

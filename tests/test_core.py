@@ -236,15 +236,57 @@ def recursive_coordinates_oracle(t):
 def test_node_spans_and_coordinates_match_the_recursive_walks():
     for n in range(0, 10):
         for t in enumerate_trees(n):
-            assert node_spans(t) == recursive_spans_oracle(t)
+            assert node_spans(t) == tuple(recursive_spans_oracle(t))
             if n <= 8:
                 assert node_coordinates(t) == recursive_coordinates_oracle(t)
 
 
+def test_node_spans_are_walked_once_and_kept_on_the_root():
+    t = from_paren("((••)((••)•))")
+    spans = node_spans(t)
+    assert node_spans(t) is spans
+    assert spans == tuple(recursive_spans_oracle(t))
+    # equality and hash read the kept spans of each side
+    u = from_paren("((••)((••)•))")
+    assert u == t and hash(u) == hash(t) == hash(spans)
+    assert node_spans(u) is not spans and node_spans(u) == spans
+    assert node_spans(LEAF) == ()
+
+
+def test_node_spans_kept_by_racing_threads_are_the_walk():
+    import sys
+    import threading
+
+    trees = [from_paren(to_paren(t)) for n in range(1, 8) for t in enumerate_trees(n)]
+    want = [tuple(recursive_spans_oracle(t)) for t in trees]
+    got = [[] for _ in range(4)]
+    start = threading.Barrier(len(got))
+
+    def walk(out):
+        start.wait()
+        out.extend(node_spans(t) for t in trees)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(out,)) for out in got]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for out in got:
+        assert out == want
+    assert [node_spans(t) for t in trees] == want
+
+
 def test_tree_walks_have_no_depth_limit():
     depth = 100_000
-    assert node_spans(left_comb(depth)) == [(0, depth - 1 - k, depth - k) for k in range(depth)]
-    assert node_spans(right_comb(depth)) == [(k, k, depth) for k in range(depth)]
+    left = tuple((0, depth - 1 - k, depth - k) for k in range(depth))
+    assert node_spans(left_comb(depth)) == left
+    assert node_spans(right_comb(depth)) == tuple((k, k, depth) for k in range(depth))
     depth = 3_000  # the paths make node_coordinates quadratic in the depth
     coords = node_coordinates(left_comb(depth))
     assert len(coords) == 2 * depth + 1

@@ -264,20 +264,49 @@ def test_union_reads_the_byte_tables_as_a_bit_at_a_time_or():
                 assert _union(mask, tables) == bit_at_a_time(mask, values)
 
 
-def test_bijections_and_deserialization_add_nothing_to_the_class_table():
+def test_tree_to_torsion_shares_the_class_sets_and_deserialization_adds_nothing():
     from catbij.serialize import deserialize_torsion, serialize_torsion
 
-    def sizes():
-        e = [_engine(n) for n in range(8)]
-        return [(len(x.sets), len(x.pairs), len(x.closures)) for x in e]
+    _engine.cache_clear()  # start from empty memos
 
-    before = sizes()
+    def sizes(e):
+        return len(e.sets), len(e.pairs), len(e.closures), len(e.splits)
+
     for n in range(8):
-        for t in enumerate_trees(n):
-            pair = tree_to_torsion(t)
+        e = _engine(n)
+        pairs = [tree_to_torsion(t) for t in enumerate_trees(n)]
+        # the class sets only, one per torsion or torsion-free class
+        classes = {p.torsion for p in pairs} | {p.free for p in pairs}
+        assert sizes(e) == (len(classes), 0, 0, 0) and len(classes) <= 2 * catalan(n)
+        for pair in pairs:
             assert deserialize_torsion(serialize_torsion(pair)) == pair
         enumerate_torsion(n)
-    assert sizes() == before
+        assert sizes(e) == (len(classes), 0, 0, 0)
+        for t, pair in zip(enumerate_trees(n), pairs):
+            g = torsion_generate(pair.torsion, n)
+            assert tree_to_torsion(t).torsion is pair.torsion is g.torsion
+            assert pair.free is g.free
+        assert len(e.sets) == len(classes)  # generation met the same class sets
+
+
+def test_rectangle_split_is_made_once_per_class_up_to_ambient_7():
+    _engine.cache_clear()
+    for n in range(8):
+        for t in enumerate_trees(n):
+            g = tree_to_torsion(t).torsion
+            split = decompose_rectangle(g, n)
+            assert decompose_rectangle(g, n) is split
+            assert recompose_rectangle(split, n) is g
+        assert len(_engine(n).splits) == catalan(n)
+    # at ambient 8 the memos would outgrow core._KEEP: fresh objects each call
+    assert _engine(8).splits is None
+    t = from_paren("((•(••))((••)(•(•(••)))))")
+    assert t.size == 8
+    g = tree_to_torsion(t).torsion
+    a, b = decompose_rectangle(g, 8), decompose_rectangle(g, 8)
+    assert a == b and a is not b
+    assert recompose_rectangle(a, 8) == g
+    assert tree_to_torsion(left_comb(8)).torsion is not tree_to_torsion(left_comb(8)).torsion
 
 
 def test_tree_to_torsion_extremes():
@@ -454,9 +483,9 @@ def test_recompose_rejects_a_split_that_is_no_decomposition():
     ids=["empty-rectangle", "wrong-skip", "negative-skip"],
 )
 def test_recompose_rejects_splits_decomposition_does_not_give_back(split):
-    assert decompose_rectangle(iset((1, 1)), 2) == RectangleSplit(
-        0, 1, iset((1, 1)), frozenset(), frozenset()
-    )
+    canonical = decompose_rectangle(iset((1, 1)), 2)
+    assert canonical == RectangleSplit(0, 1, iset((1, 1)), frozenset(), frozenset())
+    assert decompose_rectangle(iset((1, 1)), 2) is canonical  # kept in _engine(2).splits
     with pytest.raises(InvariantError, match="^split is not a rectangle decomposition$"):
         recompose_rectangle(split, 2)
 
