@@ -29,11 +29,11 @@ from .core import (  # the enumerate_* names are not called here; bench/spans.py
 )
 from .errors import CatbijError, InvariantError
 
-_MAX_N = 12  # the bound on n of every family
-
 # family: (read a document, the n of what it reads, that to the tree, the
-# tree to a document).  Each entry looks its functions up when called, so
-# that a patched module attribute (bench/spans.py) is the one called.
+# tree to a document).  _read checks that n after reading; the torsion
+# reader checks its "n" first, before the ball tables of n are built.  Each
+# entry looks its functions up when called, so that a patched module
+# attribute (bench/spans.py) is the one called.
 _FAMILY = {
     "tree": (lambda text: serialize.deserialize_tree(text), size,
              lambda t: t,
@@ -47,8 +47,7 @@ _FAMILY = {
     "perm213": (lambda text: serialize.deserialize_perm(text), len,
                 lambda p: baseball.perm_to_tree(p),
                 lambda t: serialize.serialize_perm(baseball.tree_to_perm(t))),
-    # refused before the ball tables of n are built
-    "torsion": (lambda text: serialize.deserialize_torsion(text, max_n=_MAX_N), lambda tp: tp.n,
+    "torsion": (lambda text: serialize.deserialize_torsion(text), lambda tp: tp.n,
                 lambda tp: torsion.torsion_to_tree(tp.torsion, tp.n),
                 lambda t: serialize.serialize_torsion(torsion.tree_to_torsion(t))),
 }
@@ -60,7 +59,7 @@ _RENDER = {
     ("lattice", "dot"): lambda n: render.render_lattice_dot(tamari.build_lattice(n)),
     ("young", "ascii"): lambda y: render.render_young_ascii(y),
     ("tree", "ascii"): lambda t: render.render_tree_ascii(t),
-    ("torsion", "svg"): lambda tp: render.render_torsion_svg(tp, tp.n),
+    ("torsion", "svg"): lambda tp: render.render_torsion_svg(tp),
     ("tree", "svg"): lambda t: render.render_wire_svg(t),
 }
 
@@ -74,8 +73,7 @@ def _read(family: str, text: str):
     """Deserialize a document of family and enforce its documented bound."""
     read, n_of, _, _ = _FAMILY[family]
     obj = read(text)
-    if n_of(obj) > _MAX_N:
-        raise InvariantError(f"n={n_of(obj)} out of bounds for {family} (0..{_MAX_N})")
+    serialize.check_n(n_of(obj), family)
     return obj
 
 
@@ -87,6 +85,13 @@ def _from_tree(family: str, t, fmt: str) -> str:
     if fmt == "paren":
         return to_paren(t)
     return _FAMILY[family][3](t)
+
+
+def _lattice_n(args, verb: str) -> int:
+    """--n, refused outside 1..8, the documented bound of the lattice."""
+    if args.n is None or not 1 <= args.n <= 8:
+        raise InvariantError(f"{verb} needs --n in 1..8")
+    return args.n
 
 
 def _paren_refused(family: str, fmt: str):
@@ -108,8 +113,7 @@ def cmd_enumerate(args) -> int:
     n = args.n
     if n is None:
         return _die("enumerate needs --n")
-    if n < 0 or n > _MAX_N:
-        return _die(f"n={n} out of bounds for {family} (0..{_MAX_N})")
+    serialize.check_n(n, family)  # main reports an n out of bounds
     if refused := _paren_refused(family, args.format):
         return _die(refused)
     if args.format == "paren":
@@ -146,9 +150,7 @@ def cmd_render(args) -> int:
     if draw is None:
         return _die(f"no {args.backend!r} backend for family {args.family!r}")
     if args.family == "lattice":
-        if args.n is None or not (1 <= args.n <= 8):
-            return _die("render lattice needs --n in 1..8")
-        out = draw(args.n)
+        out = draw(_lattice_n(args, "render lattice"))
     else:
         out = draw(_read(args.family, _read_input(args)))
     if args.out:
@@ -172,9 +174,7 @@ def cmd_chains(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    if args.n is None or not (1 <= args.n <= 8):
-        return _die("lattice needs --n in 1..8")
-    nodes, covers = render.lattice_names(tamari.build_lattice(args.n))
+    nodes, covers = render.lattice_names(tamari.build_lattice(_lattice_n(args, "lattice")))
     print(json.dumps({"n": args.n, "nodes": nodes, "covers": covers}))
     return 0
 

@@ -77,8 +77,10 @@ def _svg(width, height, body) -> str:
     return "\n".join([head] + body + ["</svg>"])
 
 
-def render_torsion_svg(pair: TorsionPair, n: int) -> str:
-    """Ball triangle with the torsion class blue and the free class red."""
+def render_torsion_svg(pair: TorsionPair) -> str:
+    """The pair's ball triangle with the torsion class blue and the free
+    class red."""
+    n = pair.n
     scale, pad, r = 40, 30, 14
     body = []
     for a in range(1, n):

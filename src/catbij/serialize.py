@@ -4,24 +4,25 @@ Schemas:
     tree            "(•(••))" paren string, or nested pair arrays with [] for a leaf
     dyck            "UURR..." step string
     young           {"n": int, "rows": [int, ...]}
-    torsion pair    {"n": int, "torsion": [[a, b], ...], "free": [[a, b], ...]}
+    torsion pair    {"n": int in 0..MAX_N, "torsion": [[a, b], ...], "free": [[a, b], ...]}
     permutation     [int, ...]
 
 Malformed documents raise MalformedDocumentError; documents that parse but
 break a type invariant raise InvariantError (or a subclass).  serialize and
-deserialize are mutually inverse on every valid object.  A torsion document
-is read straight into the two ball masks of torsion._engine(n), each ball
-checked as it is read; it is a pair exactly when generation gives it back
-from its torsion class, compared on those masks.  Ambient 0 has the one
-pair with no balls.
+deserialize are mutually inverse on every valid object.  MAX_N = 12 bounds n
+in every family; the CLI enforces it on every document and enumeration, and
+both torsion directions here refuse an ambient outside 0..MAX_N before its
+ball or text tables are built.  A torsion document is read straight into the
+two ball masks of torsion._engine(n), each ball checked as it is read; it is
+a pair exactly when generation gives it back from its torsion class,
+compared on those masks.  Ambient 0 has the one pair with no balls.
 
 Writing skips json.dumps: quoted and int_array write what it writes, and
 torsion text has one writer, _torsion_writer(n).  enumeration_lines streams
 the documents of a whole enumeration: core's enumerators spell each tree,
 Dyck, Young or 213-avoider document as one join of JSON text pieces, and
 torsion documents come from that writer on the masks of the trees' split
-tables, so no object is built, checked or formatted per line.  The CLI
-takes every family to n <= 12 and passes that bound to deserialize_torsion.
+tables, so no object is built, checked or formatted per line.
 """
 
 import json
@@ -49,6 +50,8 @@ from .core import (
 )
 from .errors import MalformedDocumentError
 
+MAX_N = 12  # the bound on n of every family
+
 
 def _load(text):
     try:
@@ -71,6 +74,13 @@ def int_array(seq) -> str:
     return repr(list(seq))
 
 
+def check_n(n: int, family: str) -> int:
+    """n, refused outside 0..MAX_N, the documented range of every family."""
+    if not 0 <= n <= MAX_N:
+        raise InvariantError(f"n={n} out of bounds for {family} (0..{MAX_N})")
+    return n
+
+
 # -- trees ------------------------------------------------------------------
 
 def serialize_tree(t: BinaryTree) -> str:
@@ -84,7 +94,7 @@ def _tree_from_lists(doc):
         item, joined = todo.pop()
         if joined:
             out[-2:] = [Node(*out[-2:])]
-        elif item == [] or item is None:
+        elif item == []:
             out.append(LEAF)
         elif isinstance(item, list) and len(item) == 2:
             todo += [(item, True), (item[1], False), (item[0], False)]
@@ -97,7 +107,7 @@ def deserialize_tree(text: str) -> BinaryTree:
     doc = _load(text)
     if isinstance(doc, str):
         return from_paren(doc)
-    if isinstance(doc, list) or doc is None:
+    if isinstance(doc, list):
         return _tree_from_lists(doc)
     raise MalformedDocumentError(f"tree document must be a string or array, got {doc!r}")
 
@@ -136,14 +146,14 @@ def deserialize_young(text: str) -> YoungDiagram:
 # -- torsion pairs ----------------------------------------------------------
 
 def serialize_torsion(tp: TorsionPair) -> str:
-    n = tp.n
+    n = check_n(tp.n, "torsion")  # before the writer tables of n are built
     tors, free = (sum(1 << ((x.a - 1) * n + x.b - 1) for x in c) for c in (tp.torsion, tp.free))
     return _torsion_writer(n)(tors, free)
 
 
-def deserialize_torsion(text: str, max_n=None) -> TorsionPair:
-    """With max_n given, a larger ambient is refused before its ball tables
-    (n**4 in size, and cached) are built."""
+def deserialize_torsion(text: str) -> TorsionPair:
+    """The pair of a document; an n outside 0..MAX_N is refused right
+    after the document's shape is checked."""
     doc = _load(text)
     if (
         not isinstance(doc, dict)
@@ -154,38 +164,32 @@ def deserialize_torsion(text: str, max_n=None) -> TorsionPair:
         raise MalformedDocumentError(
             f'torsion document must be {{"n", "torsion", "free"}}, got {doc!r}'
         )
-    n = doc["n"]
-    if max_n is not None and n > max_n:
-        raise InvariantError(f"n={n} out of bounds for torsion (0..{max_n})")
-    # each class as the set of its balls' bits in torsion._engine(n), where
-    # ball [a, b] is bit row[a] + b = (a - 1) n - a (a + 1) / 2 + b; the
-    # masks wait for the ball count, so a huge n with few balls stays cheap
+    n = check_n(doc["n"], "torsion")  # before the ball tables of n are built
+    e = torsion._engine(n)
+    # each class as the mask of its balls in e, ball [a, b] at bit row[a] + b
     outside = None
     classes = []
     for balls in doc["torsion"], doc["free"]:
-        bits = set()
+        mask = 0
         for v in balls:
             if not (isinstance(v, list) and len(v) == 2 and type(v[0]) is type(v[1]) is int):
                 raise MalformedDocumentError(f"bad interval {v!r}; expected [a, b]")
             a, b = v
             if not 1 <= a <= b:
                 raise InvariantError(f"bad interval [{a}, {b}]")
-            if b >= n and outside is None:
+            if b < n:
+                mask |= 1 << (e.row[a] + b)
+            elif outside is None:
                 outside = Interval(a, b)
-            bits.add((a - 1) * n - a * (a + 1) // 2 + b)
-        classes.append(bits)
+        classes.append(mask)
     if outside is not None:
         outside.check_ambient(n)  # raises, naming the first such ball
     tors, free = classes
     if tors & free:
         raise InvariantError("torsion and torsion-free classes intersect")
-    # Each non-root node of a pair's tree puts at least one ball in a class,
-    # so fewer than n - 1 balls are no pair; checked first, this also keeps a
-    # short document from building the engine tables of a huge ambient.
-    if len(tors) + len(free) < n - 1:
+    # each non-root node of a pair's tree puts at least one ball in a class
+    if tors.bit_count() + free.bit_count() < n - 1:
         raise InvariantError(f"document is not a torsion pair (too few balls for ambient {n})")
-    e = torsion._engine(n)
-    tors, free = (sum(1 << k for k in bits) for bits in classes)
     # a pair is what generation gives back from its torsion class: the free
     # class is tors-perp and the torsion class is perp of that
     if torsion._generate_mask(tors, e) != (tors, free):
@@ -240,17 +244,18 @@ def _torsion_writer(n: int):
     return write
 
 
+_LINES = {  # family: the documents of its objects at size n, in enumeration order
+    "tree": lambda n: _parens(n, '"'),
+    "dyck": lambda n: _dyck_words(n, '"'),
+    "young": lambda n: _young_rows(n, (f'{{"n": {n}, "rows": [', str, _after, "]}")),
+    "perm213": lambda n: _perms213(n, ("[", str, _after, "]")),
+    "torsion": lambda n: starmap(_torsion_writer(n), torsion._torsion_masks(n)),
+}
+
+
 def enumeration_lines(family: str, n: int):
     """For every object of family at size n, in enumeration order, the
     document its serialize_* writes; n is not checked."""
-    if family == "tree":
-        return _parens(n, '"')
-    if family == "dyck":
-        return _dyck_words(n, '"')
-    if family == "young":
-        return _young_rows(n, (f'{{"n": {n}, "rows": [', str, _after, "]}"))
-    if family == "perm213":
-        return _perms213(n, ("[", str, _after, "]"))
-    if family == "torsion":
-        return starmap(_torsion_writer(n), torsion._torsion_masks(n))
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _LINES:
+        raise ValueError(f"unknown family {family!r}")
+    return _LINES[family](n)

@@ -8,12 +8,8 @@ seen takes about 0.12 s).  The explicit examples cover a huge "n", an int
 of more digits than json may read, parens and arrays nested 3,000 deep,
 bools and huge ints in int slots, and non-BMP text.
 
-One deliberate exception: serialize_torsion of a hand-built TorsionPair
-with a large ambient builds a text writer for n * n bits, whatever few balls
-the pair holds (at n = 150, 0.13-0.21 s and a peak of 88-105 MB; an open
-FOUND line in CHANGES.md).  So only pairs the reader accepted are written
-here, of ambient 14 at most: a larger "n" here is huge, and a document with
-so few balls is refused before any table is built.
+Hand-built torsion pairs of ambient 0..20, most of them no pair and those
+past 12 out of range, are written and read back too.
 """
 
 import contextlib
@@ -26,7 +22,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from catbij import CatbijError, from_paren, serialize, tree_to_torsion  # noqa: E402
+from catbij import (  # noqa: E402
+    CatbijError,
+    TorsionPair,
+    all_balls,
+    from_paren,
+    serialize,
+    tree_to_torsion,
+)
 from catbij.cli import FAMILIES, main  # noqa: E402
 
 FUZZ = settings(
@@ -145,6 +148,22 @@ def round_trips_or_refuses(family, text):
     assert read(write(obj)) == obj
 
 
+def hand_built_pair(n, sides):
+    """The TorsionPair of ambient n with ball i of the triangle in the
+    torsion class, the free class or neither, as sides[i] is "t", "f" or "."."""
+    balls = sorted(all_balls(n))
+    return TorsionPair(*(frozenset(x for x, s in zip(balls, sides) if s == c) for c in "tf"), n)
+
+
+# ambient 0..20 with a side for every ball (n * n letters, of which the
+# n(n - 1)/2 balls read the first)
+hand_built_pairs = st.integers(0, 20).flatmap(
+    lambda n: st.text("tf.", min_size=n * n, max_size=n * n).map(
+        lambda sides: hand_built_pair(n, sides)
+    )
+)
+
+
 def cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -166,6 +185,15 @@ def works_or_exits_1(*argv):
 @given(data=st.data())
 def test_every_reader_round_trips_or_raises_a_catbij_error(family, data):
     round_trips_or_refuses(family, data.draw(st.one_of(documents, VALID[family])))
+
+
+@FUZZ
+@given(pair=hand_built_pairs)
+def test_hand_built_pairs_are_written_and_read_back_or_refused(pair):
+    try:
+        assert serialize.deserialize_torsion(serialize.serialize_torsion(pair)) == pair
+    except CatbijError:
+        pass
 
 
 @FUZZ

@@ -14,6 +14,7 @@ from catbij import (
     enumerate_young,
     from_paren,
     to_paren,
+    tree_to_torsion,
 )
 from catbij.render import (
     BLUE,
@@ -49,12 +50,19 @@ def test_torsion_svg_labeled_pair():
         {Interval(2, 2), Interval(2, 3), Interval(2, 4), Interval(2, 5),
          Interval(4, 4), Interval(4, 5)}
     )
-    svg = render_torsion_svg(TorsionPair(tors, free, 6), 6)
+    svg = render_torsion_svg(TorsionPair(tors, free, 6))
     assert svg.startswith("<svg ") and svg.endswith("</svg>")
     ET.fromstring(svg)  # well-formed XML
     assert svg.count(f'fill="{BLUE}"') == 3
     assert svg.count(f'fill="{RED}"') == 6
     assert svg.count("<circle") == 15
+
+
+def test_torsion_svg_draws_the_pairs_own_ambient():
+    # all six balls of ambient 4, the pair's one free ball [3, 3] among them
+    svg = render_torsion_svg(tree_to_torsion(from_paren("(((••)•)(••))")))
+    assert svg.count("<circle") == 6 and ">3,3</text>" in svg
+    assert svg.count(f'fill="{BLUE}"') == 3 and svg.count(f'fill="{RED}"') == 1
 
 
 def test_wire_svg_structure():
@@ -135,7 +143,7 @@ def test_render_output_regression_pins():
         "tree ascii and wire svg, n <= 8":
             digest(s for t in trees for s in (render_tree_ascii(t), render_wire_svg(t))),
         "torsion svg, n <= 6":
-            digest(render_torsion_svg(p, n) for n in range(7) for p in enumerate_torsion(n)),
+            digest(render_torsion_svg(p) for n in range(7) for p in enumerate_torsion(n)),
         "young ascii, n <= 6": digest(
             render_young_ascii(YoungDiagram(rows, n))
             for n in range(7)

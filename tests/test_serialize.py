@@ -15,6 +15,7 @@ from catbij import (
     MalformedDocumentError,
     Node,
     NotAPermutationError,
+    TorsionPair,
     YoungDiagram,
     all_balls,
     enumerate_dyck,
@@ -101,6 +102,10 @@ def test_tree_errors():
         deserialize_tree('"((••)"')
     with pytest.raises(MalformedDocumentError):
         deserialize_tree("17")
+    # [] is the one leaf spelling; null is no tree document
+    for text in "null", "[null, []]", "[[], [[], null]]":
+        with pytest.raises(MalformedDocumentError):
+            deserialize_tree(text)
 
 
 def test_deep_tree_documents_parse_or_fail_cleanly():
@@ -168,57 +173,59 @@ def test_torsion_documents_are_accepted_exactly_when_perpendicular():
 
 
 # each faulty document with the error it gets and its message, in the order
-# the reader checks: shape, each ball's shape and order, the ambient (first
-# offending ball), overlap, the ball count, then perpendicularity
+# the reader checks: shape, the range of n, each ball's shape and order, the
+# ambient (first offending ball), overlap, the ball count, then
+# perpendicularity
 SHAPE = 'torsion document must be {"n", "torsion", "free"}, got '
 TOO_FEW = "document is not a torsion pair (too few balls for ambient 5)"
+OUT = "n=%d out of bounds for torsion (0..12)"
 FAULTY_TORSION = [
-    ("nope", None, MalformedDocumentError,
+    ("nope", MalformedDocumentError,
      "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
-    ("[]", None, MalformedDocumentError, SHAPE + "[]"),
-    ('{"n": 4, "torsion": [[1, 2]]}', None, MalformedDocumentError,
+    ("[]", MalformedDocumentError, SHAPE + "[]"),
+    ('{"n": 4, "torsion": [[1, 2]]}', MalformedDocumentError,
      SHAPE + "{'n': 4, 'torsion': [[1, 2]]}"),
-    ('{"n": true, "torsion": [], "free": []}', None, MalformedDocumentError,
+    ('{"n": true, "torsion": [], "free": []}', MalformedDocumentError,
      SHAPE + "{'n': True, 'torsion': [], 'free': []}"),
-    ('{"n": 4, "torsion": [[1]], "free": []}', None, MalformedDocumentError,
+    ('{"n": 4, "torsion": [[1]], "free": []}', MalformedDocumentError,
      "bad interval [1]; expected [a, b]"),
-    ('{"n": 4, "torsion": [], "free": [[1, 2, 3]]}', None, MalformedDocumentError,
+    ('{"n": 4, "torsion": [], "free": [[1, 2, 3]]}', MalformedDocumentError,
      "bad interval [1, 2, 3]; expected [a, b]"),
-    ('{"n": 4, "torsion": [[true, 1]], "free": []}', None, MalformedDocumentError,
+    ('{"n": 4, "torsion": [[true, 1]], "free": []}', MalformedDocumentError,
      "bad interval [True, 1]; expected [a, b]"),
-    ('{"n": 4, "torsion": [[1.0, 2]], "free": []}', None, MalformedDocumentError,
+    ('{"n": 4, "torsion": [[1.0, 2]], "free": []}', MalformedDocumentError,
      "bad interval [1.0, 2]; expected [a, b]"),
-    ('{"n": 4, "torsion": ["x"], "free": []}', None, MalformedDocumentError,
+    ('{"n": 4, "torsion": ["x"], "free": []}', MalformedDocumentError,
      "bad interval 'x'; expected [a, b]"),
-    ('{"n": 6, "torsion": [[5, 2]], "free": []}', None, InvariantError, "bad interval [5, 2]"),
-    ('{"n": 6, "torsion": [[0, 1]], "free": []}', None, InvariantError, "bad interval [0, 1]"),
-    ('{"n": 4, "torsion": [[3, 2]], "free": [[1]]}', None, InvariantError,
+    ('{"n": 6, "torsion": [[5, 2]], "free": []}', InvariantError, "bad interval [5, 2]"),
+    ('{"n": 6, "torsion": [[0, 1]], "free": []}', InvariantError, "bad interval [0, 1]"),
+    ('{"n": 4, "torsion": [[3, 2]], "free": [[1]]}', InvariantError,
      "bad interval [3, 2]"),
-    ('{"n": 4, "torsion": [[1, 9]], "free": [[3, 2]]}', None, InvariantError,
+    ('{"n": 4, "torsion": [[1, 9]], "free": [[3, 2]]}', InvariantError,
      "bad interval [3, 2]"),
-    ('{"n": 4, "torsion": [[1, 1], [1, 4]], "free": []}', None, AmbientMismatchError,
+    ('{"n": 4, "torsion": [[1, 1], [1, 4]], "free": []}', AmbientMismatchError,
      "[1, 4] outside ambient 4"),
-    ('{"n": -1, "torsion": [[1, 1]], "free": []}', None, AmbientMismatchError,
-     "[1, 1] outside ambient -1"),
-    ('{"n": 3, "torsion": [[1, 1]], "free": [[1, 1]]}', None, InvariantError,
+    ('{"n": -1, "torsion": [[1, 1]], "free": []}', InvariantError, OUT % -1),
+    ('{"n": 3, "torsion": [[1, 1]], "free": [[1, 1]]}', InvariantError,
      "torsion and torsion-free classes intersect"),
-    ('{"n": 40, "torsion": [[2, 3]], "free": [[2, 3]]}', None, InvariantError,
-     "torsion and torsion-free classes intersect"),
-    ('{"n": 5, "torsion": [[1, 1]], "free": []}', None, InvariantError, TOO_FEW),
-    ('{"n": 5, "torsion": [[1, 1], [1, 1], [1, 1]], "free": [[2, 2]]}', None, InvariantError,
+    ('{"n": 40, "torsion": [[2, 3]], "free": [[2, 3]]}', InvariantError, OUT % 40),
+    ('{"n": 5, "torsion": [[1, 1]], "free": []}', InvariantError, TOO_FEW),
+    ('{"n": 5, "torsion": [[1, 1], [1, 1], [1, 1]], "free": [[2, 2]]}', InvariantError,
      TOO_FEW),
-    ('{"n": 4, "torsion": [[1, 2]], "free": [[1, 1], [3, 3]]}', None, InvariantError,
+    ('{"n": 4, "torsion": [[1, 2]], "free": [[1, 1], [3, 3]]}', InvariantError,
      "document is not a torsion pair (perpendicularity fails)"),
-    ('{"n": -1, "torsion": [], "free": []}', None, InvariantError, "ambient must be >= 0"),
-    ('{"n": 13, "torsion": [], "free": []}', 12, InvariantError,
-     "n=13 out of bounds for torsion (0..12)"),
+    ('{"n": -1, "torsion": [], "free": []}', InvariantError, OUT % -1),
+    ('{"n": 13, "torsion": [], "free": []}', InvariantError, OUT % 13),
+    ('{"n": 13, "torsion": [[1, 1]], "free": [[2, 12]]}', InvariantError, OUT % 13),
+    ('{"n": 1000000, "torsion": [[1, 1], [2, 3]], "free": [[2, 2]]}', InvariantError,
+     OUT % 10**6),
 ]
 
 
-@pytest.mark.parametrize("text, max_n, error, message", FAULTY_TORSION)
-def test_faulty_torsion_documents_get_their_error(text, max_n, error, message):
+@pytest.mark.parametrize("text, error, message", FAULTY_TORSION)
+def test_faulty_torsion_documents_get_their_error(text, error, message):
     with pytest.raises(error) as got:
-        deserialize_torsion(text, max_n)
+        deserialize_torsion(text)
     assert type(got.value) is error and str(got.value) == message
 
 
@@ -240,16 +247,34 @@ def test_deserialized_balls_are_the_engine_balls():
 
 
 def test_short_torsion_document_builds_no_engine(monkeypatch):
-    # a pair of ambient n has at least n - 1 balls; a shorter document is
-    # rejected before the bitmask tables of its ambient are built
+    # an ambient outside 0..12 is refused before the bitmask tables of that
+    # ambient are built, however few balls the document holds
     import catbij.torsion
 
-    def no_engine(n):
-        raise AssertionError(f"engine built for ambient {n}")
+    def engine(n, real=catbij.torsion._engine):
+        if n > 12:
+            raise AssertionError(f"engine built for ambient {n}")
+        return real(n)
 
-    monkeypatch.setattr(catbij.torsion, "_engine", no_engine)
-    with pytest.raises(InvariantError):
-        deserialize_torsion('{"n": 40, "torsion": [[1, 1]], "free": [[2, 39]]}')
+    monkeypatch.setattr(catbij.torsion, "_engine", engine)
+    for n in 13, 40, 60, 10**6:
+        doc = json.dumps({"n": n, "torsion": [[1, 1]], "free": [[2, n - 1]]})
+        with pytest.raises(InvariantError) as got:
+            deserialize_torsion(doc)
+        assert str(got.value) == OUT % n
+
+
+def test_pair_outside_the_range_builds_no_writer(monkeypatch):
+    import catbij.serialize
+
+    def no_writer(n):
+        raise AssertionError(f"writer built for ambient {n}")
+
+    monkeypatch.setattr(catbij.serialize, "_torsion_writer", no_writer)
+    for n in 13, 150:
+        with pytest.raises(InvariantError) as got:
+            serialize_torsion(TorsionPair(frozenset(), frozenset(), n))
+        assert str(got.value) == OUT % n
 
 
 @pytest.mark.parametrize(
