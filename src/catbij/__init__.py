@@ -59,6 +59,7 @@ from .tamari import (
     build_lattice,
     count_maximal_chains,
     covers_of,
+    hasse,
     is_lattice,
     verify_order_reversing,
 )

@@ -56,7 +56,7 @@ FAMILIES = tuple(_FAMILY)
 # (family, backend): draw what _read gives for the family; the lattice is
 # drawn from --n
 _RENDER = {
-    ("lattice", "dot"): lambda n: render.render_lattice_dot(tamari.build_lattice(n)),
+    ("lattice", "dot"): lambda n: render.render_lattice_dot(n),
     ("young", "ascii"): lambda y: render.render_young_ascii(y),
     ("tree", "ascii"): lambda t: render.render_tree_ascii(t),
     ("torsion", "svg"): lambda tp: render.render_torsion_svg(tp),
@@ -174,7 +174,7 @@ def cmd_chains(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    nodes, covers = render.lattice_names(tamari.build_lattice(_lattice_n(args, "lattice")))
+    nodes, covers = tamari.hasse(_lattice_n(args, "lattice"))
     print(json.dumps({"n": args.n, "nodes": nodes, "covers": covers}))
     return 0
 

@@ -697,6 +697,8 @@ class TorsionPair(_Record):
     __slots__ = __match_args__ = ("torsion", "free", "n")
 
     def __init__(self, torsion: frozenset, free: frozenset, n: int):
+        if n < 0:
+            raise InvariantError("ambient must be >= 0")
         torsion, free = frozenset(torsion), frozenset(free)
         for side in (torsion, free):
             for x in side:

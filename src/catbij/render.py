@@ -13,9 +13,8 @@ from .core import (
     YoungDiagram,
     node_spans,
     size,
-    to_paren,
 )
-from .tamari import TamariPoset
+from .tamari import hasse
 
 BLUE = "#6688dd"
 RED = "#dd6666"
@@ -87,12 +86,7 @@ def render_torsion_svg(pair: TorsionPair) -> str:
         for b in range(a, n):
             x, y = _ball_center(a, b, n, scale, pad)
             ball = Interval(a, b)
-            if ball in pair.torsion:
-                fill = BLUE
-            elif ball in pair.free:
-                fill = RED
-            else:
-                fill = "none"
+            fill = BLUE if ball in pair.torsion else RED if ball in pair.free else "none"
             body.append(
                 f'<circle cx="{x}" cy="{y}" r="{r}" fill="{fill}" '
                 'stroke="black" stroke-width="1"/>'
@@ -159,22 +153,10 @@ def render_wire_svg(t: BinaryTree) -> str:
     return _svg(width, height, body)
 
 
-def lattice_names(p: TamariPoset):
-    """The paren string of each node, in order, and the covers as sorted
-    (lower, upper) pairs of paren strings.  Each node is named once; a cover
-    tree outside the nodes is named where it is met."""
-    names = {t: to_paren(t) for t in p.nodes}
-    covers = ((names.get(l) or to_paren(l), names.get(u) or to_paren(u)) for (l, u) in p.covers)
-    return [names[t] for t in p.nodes], sorted(covers)
-
-
-def render_lattice_dot(p: TamariPoset) -> str:
-    """Hasse diagram in DOT, node IDs being the paren strings."""
+def render_lattice_dot(n: int) -> str:
+    """The size-n Tamari lattice in DOT, named by tamari.hasse."""
+    nodes, covers = hasse(n)
     lines = ["digraph tamari {", '  rankdir="BT";']
-    nodes, covers = lattice_names(p)
-    for name in nodes:
-        lines.append(f'  "{name}" [shape=box];')
-    for (lo, hi) in covers:
-        lines.append(f'  "{lo}" -> "{hi}";')
-    lines.append("}")
-    return "\n".join(lines)
+    lines += [f'  "{name}" [shape=box];' for name in nodes]
+    lines += [f'  "{lo}" -> "{hi}";' for lo, hi in covers]
+    return "\n".join(lines + ["}"])

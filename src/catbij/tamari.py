@@ -7,9 +7,10 @@ leaves i..j whose left child spans i..m, m > i, the R that closes the left
 child moves from after leaf m to after leaf j (covers_of).  The
 whole-lattice routines name each tree by its index in enumerate_trees(n)
 and build or walk no tree: each size's cover indices are joined from the
-smaller sizes' by the root split (_cover_indices).  The order is not graded
-for n >= 3, so maximal chains are counted by path enumeration over the
-Hasse diagram, never by rank.
+smaller sizes' by the root split (_cover_indices), and hasse names them
+for `catbij lattice` and the DOT renderer.  The order is not graded for
+n >= 3, so maximal chains are counted by path enumeration over the Hasse
+diagram, never by rank.
 """
 
 from itertools import accumulate
@@ -22,6 +23,7 @@ from .core import (
     _size,
     _tables,
     catalan,
+    enumerate_parens,
     enumerate_trees,
     node_spans,
     size,
@@ -127,6 +129,14 @@ def build_lattice(n: int) -> TamariPoset:
         (t, nodes[j]) for t, up in zip(nodes, _cover_indices(n)) for j in up
     )
     return TamariPoset(nodes, covers)
+
+
+def hasse(n: int) -> tuple:
+    """The paren strings of enumerate_trees(n), in order, and the covers as
+    sorted (lower, upper) pairs of them; no tree is built."""
+    names = list(enumerate_parens(_lattice_size(n)))
+    covers = sorted((names[i], names[j]) for i, up in enumerate(_cover_indices(n)) for j in up)
+    return names, covers
 
 
 def _leq_matrix(p: TamariPoset) -> tuple:

@@ -1,5 +1,6 @@
 """Command line behavior: verbs, formats, exit codes, conversion coherence."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -350,11 +351,22 @@ def test_render_lattice_dot(capsys, tmp_path):
     assert text.count("[shape=box]") == 14 and text.count("->") == 21
 
 
-@pytest.mark.parametrize("n", ["0", "9", "20"])
-def test_render_lattice_is_bounded_like_lattice(capsys, monkeypatch, n):
+def refuse(monkeypatch, *names):
+    """Patch each named tamari function to fail the test when it is called."""
     from catbij import tamari
 
-    monkeypatch.setattr(tamari, "build_lattice", lambda n: pytest.fail("lattice built"))
+    for name in names:
+        fail = lambda *a, name=name: pytest.fail(f"tamari.{name} called")  # noqa: E731
+        monkeypatch.setattr(tamari, name, fail)
+
+
+# what names the lattice; a refused --n or backend must come before any of it
+LATTICE_WORK = ("_cover_indices", "enumerate_parens", "build_lattice")
+
+
+@pytest.mark.parametrize("n", ["0", "9", "20"])
+def test_render_lattice_is_bounded_like_lattice(capsys, monkeypatch, n):
+    refuse(monkeypatch, *LATTICE_WORK)
     code, out, err = run(capsys, "render", "lattice", "--n", n, "--backend", "dot")
     assert code == 1 and out == ""
     assert "1..8" in err
@@ -362,9 +374,7 @@ def test_render_lattice_is_bounded_like_lattice(capsys, monkeypatch, n):
 
 @pytest.mark.parametrize("n", ["0", "9", "20"])
 def test_lattice_enforces_the_documented_bound(capsys, monkeypatch, n):
-    from catbij import tamari
-
-    monkeypatch.setattr(tamari, "build_lattice", lambda n: pytest.fail("lattice built"))
+    refuse(monkeypatch, *LATTICE_WORK)
     code, out, err = run(capsys, "lattice", "--n", n)
     assert code == 1 and out == ""
     assert "1..8" in err
@@ -372,13 +382,36 @@ def test_lattice_enforces_the_documented_bound(capsys, monkeypatch, n):
 
 @pytest.mark.parametrize("backend", [None, "ascii", "svg"])
 def test_render_lattice_refuses_a_backend_other_than_dot(capsys, monkeypatch, backend):
-    from catbij import tamari
-
-    monkeypatch.setattr(tamari, "build_lattice", lambda n: pytest.fail("lattice built"))
+    refuse(monkeypatch, *LATTICE_WORK)
     argv = ["render", "lattice", "--n", "3"] + (["--backend", backend] if backend else [])
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: no {backend or 'ascii'!r} backend for family 'lattice'\n"
+
+
+def test_lattice_verbs_build_no_tree(capsys, monkeypatch):
+    refuse(monkeypatch, "build_lattice", "enumerate_trees")
+    code, out, _ = run(capsys, "lattice", "--n", "4")
+    doc = json.loads(out)
+    assert code == 0 and len(doc["nodes"]) == 14 and len(doc["covers"]) == 21
+    code, out, _ = run(capsys, "render", "lattice", "--n", "4", "--backend", "dot")
+    assert code == 0 and out.count("[shape=box]") == 14 and out.count("->") == 21
+
+
+# sha256 of stdout at the documented bound, as bench/workloads.py pins it
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["lattice", "--n", "8"],
+         "84c6345d84adfaa286e4abaff069f86e59c4a2f6a2aba946b7312836f7310217"),
+        (["render", "lattice", "--n", "8", "--backend", "dot"],
+         "e143bf2918c3286b6a2db4178feecc5bc2f4fe6829f889d0ef378f26447985df"),
+    ],
+)
+def test_lattice_verbs_match_their_pinned_digests_at_the_bound(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

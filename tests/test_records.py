@@ -112,6 +112,13 @@ def test_records_normalise_their_fields():
     assert pair == TorsionPair({BALL}, frozenset(), 3)
 
 
+def test_records_refuse_a_negative_ambient():
+    for make in (lambda n: YoungDiagram((), n), lambda n: TorsionPair(frozenset(), frozenset(), n)):
+        with pytest.raises(catbij.InvariantError, match="^ambient must be >= 0$"):
+            make(-5)
+        assert make(0).n == 0
+
+
 def test_assignment_raises_frozen_instance_error():
     assert issubclass(catbij.FrozenInstanceError, AttributeError)
     for obj in (LEAF, Node(LEAF, LEAF), Interval(1, 2), DyckPath("UR")):

