@@ -6,8 +6,10 @@ serialize.enumeration_lines.  Conversion routes everything through the
 binary tree hub, by the _FAMILY table.  Exit codes: 0 success, 1 usage or
 input error (a closed stdout included), 2 verification failure.
 
-Documented feasibility bounds: n <= 12 for every family, n <= 8 for the
-lattice, n <= 11 for chain counting and --n-max 2..9 for verify.
+Every refusal is a CatbijError, printed by main as one `error:` line.  The
+parser declares the choices and the documented --n bounds: 0..12 for every
+family, 1..8 for the lattice (the one render that takes --n) and 1..11 for
+chain counting; verify.run_suite holds --n-max to 2..9.
 """
 
 import argparse
@@ -54,30 +56,45 @@ _FAMILY = {
 FAMILIES = tuple(_FAMILY)
 
 # (family, backend): draw what _read gives for the family; the lattice is
-# drawn from --n
+# drawn from --n, which no other family takes
 _RENDER = {
-    ("lattice", "dot"): lambda n: render.render_lattice_dot(n),
-    ("young", "ascii"): lambda y: render.render_young_ascii(y),
     ("tree", "ascii"): lambda t: render.render_tree_ascii(t),
-    ("torsion", "svg"): lambda tp: render.render_torsion_svg(tp),
     ("tree", "svg"): lambda t: render.render_wire_svg(t),
+    ("young", "ascii"): lambda y: render.render_young_ascii(y),
+    ("torsion", "svg"): lambda tp: render.render_torsion_svg(tp),
+    ("lattice", "dot"): lambda n: render.render_lattice_dot(n),
 }
 
 
-def _die(msg, code=1):
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+class _Parser(argparse.ArgumentParser):
+    """Raises InvariantError, for main to print, where argparse would exit 2."""
+
+    def error(self, message):
+        raise InvariantError(message)
 
 
-def _read(family: str, text: str):
-    """Deserialize a document of family and enforce its documented bound."""
+def _int_in(lo: int, hi: int):
+    """The --n type of a verb whose documented bound is lo..hi."""
+
+    def n(text: str) -> int:
+        if lo <= (value := int(text)) <= hi:
+            return value
+        raise argparse.ArgumentTypeError(f"{value} out of bounds ({lo}..{hi})")
+
+    n.__name__ = "int"  # argparse names the type when int() refuses a text
+    return n
+
+
+def _read(family: str, text):
+    """Deserialize a document of family, read from stdin if text is None,
+    and enforce its documented bound."""
     read, n_of, _, _ = _FAMILY[family]
-    obj = read(text)
+    obj = read(sys.stdin.read() if text is None else text)
     serialize.check_n(n_of(obj), family)
     return obj
 
 
-def _to_tree(family: str, text: str):
+def _to_tree(family: str, text):
     return _FAMILY[family][2](_read(family, text))
 
 
@@ -87,39 +104,17 @@ def _from_tree(family: str, t, fmt: str) -> str:
     return _FAMILY[family][3](t)
 
 
-def _lattice_n(args, verb: str) -> int:
-    """--n, refused outside 1..8, the documented bound of the lattice."""
-    if args.n is None or not 1 <= args.n <= 8:
-        raise InvariantError(f"{verb} needs --n in 1..8")
-    return args.n
-
-
-def _paren_refused(family: str, fmt: str):
-    """The error line for --format paren with a family other than tree."""
+def _check_paren(family: str, fmt: str):
     if fmt == "paren" and family != "tree":
-        return f"--format paren is for family 'tree', not {family!r}"
-
-
-def _read_input(args) -> str:
-    if args.input is not None:
-        return args.input
-    return sys.stdin.read()
+        raise InvariantError(f"--format paren is for family 'tree', not {family!r}")
 
 
 def cmd_enumerate(args) -> int:
-    family = args.family
-    if family not in FAMILIES:
-        return _die(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    n = args.n
-    if n is None:
-        return _die("enumerate needs --n")
-    serialize.check_n(n, family)  # main reports an n out of bounds
-    if refused := _paren_refused(family, args.format):
-        return _die(refused)
+    _check_paren(args.family, args.format)
     if args.format == "paren":
-        lines = enumerate_parens(n)
+        lines = enumerate_parens(args.n)
     else:
-        lines = serialize.enumeration_lines(family, n)
+        lines = serialize.enumeration_lines(args.family, args.n)
     # a write per line costs more than making the line; 256 lines keep a
     # chunk small where lines are long (torsion at n = 12: about 400 characters)
     while chunk := list(islice(lines, 256)):
@@ -128,19 +123,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    if args.source not in FAMILIES or args.target not in FAMILIES:
-        return _die(f"families must come from {', '.join(FAMILIES)}")
-    if refused := _paren_refused(args.target, args.format):
-        return _die(refused)
-    t = _to_tree(args.source, _read_input(args))  # main reports a CatbijError
+    _check_paren(args.target, args.format)
+    t = _to_tree(args.source, args.input)
     print(_from_tree(args.target, t, args.format))
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in verify.SUITES:
-        return _die(f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITES)}")
-    report = verify.run_suite(args.suite, args.n_max)  # main reports a bad --n-max
+    report = verify.run_suite(args.suite, args.n_max)  # which refuses a bad --n-max
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 2
 
@@ -148,11 +138,10 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     draw = _RENDER.get((args.family, args.backend))
     if draw is None:
-        return _die(f"no {args.backend!r} backend for family {args.family!r}")
-    if args.family == "lattice":
-        out = draw(_lattice_n(args, "render lattice"))
-    else:
-        out = draw(_read(args.family, _read_input(args)))
+        raise InvariantError(f"no {args.backend!r} backend for family {args.family!r}")
+    if (args.n is None) == (args.family == "lattice"):
+        raise InvariantError("--n is for render lattice only, which needs it")
+    out = draw(args.n if args.n is not None else _read(args.family, args.input))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -160,80 +149,79 @@ def cmd_render(args) -> int:
                 if not out.endswith("\n"):
                     fh.write("\n")
         except OSError as exc:
-            return _die(f"cannot write {args.out}: {exc.strerror}")
+            raise CatbijError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         print(out)
     return 0
 
 
 def cmd_chains(args) -> int:
-    if args.n is None or not (1 <= args.n <= 11):
-        return _die("chains needs --n in 1..11")
     print(tamari.count_maximal_chains(args.n))
     return 0
 
 
 def cmd_lattice(args) -> int:
-    nodes, covers = tamari.hasse(_lattice_n(args, "lattice"))
+    nodes, covers = tamari.hasse(args.n)
     print(json.dumps({"n": args.n, "nodes": nodes, "covers": covers}))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    lattice_n = _int_in(1, 8)
+    families, backends = (tuple(dict.fromkeys(k)) for k in zip(*_RENDER))
+    ap = _Parser(
         prog="catbij",
         description="Catalan families, their bijections, and the Tamari lattice.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream all objects of one family")
-    p.add_argument("family")
-    p.add_argument("--n", type=int)
+    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("--n", type=_int_in(0, serialize.MAX_N), required=True)
     p.add_argument("--format", choices=("json", "paren"), default="json")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("convert", help="convert a document between families")
-    p.add_argument("source")
-    p.add_argument("target")
+    p.add_argument("source", choices=FAMILIES)
+    p.add_argument("target", choices=FAMILIES)
     p.add_argument("--input", help="document text (default: stdin)")
     p.add_argument("--format", choices=("json", "paren"), default="json")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("suite")
+    p.add_argument("suite", choices=tuple(verify.SUITES))
     p.add_argument("--n-max", type=int, default=5)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw an object")
-    p.add_argument("family", help="tree, young, torsion or lattice")
-    p.add_argument("--backend", choices=("ascii", "svg", "dot"), default="ascii")
+    p.add_argument("family", choices=families)
+    p.add_argument("--backend", choices=backends, default="ascii")
     p.add_argument("--input", help="document text (default: stdin)")
-    p.add_argument("--n", type=int, help="size, for lattice rendering")
+    p.add_argument("--n", type=lattice_n, help="size, for render lattice only")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("chains", help="count maximal chains of the Tamari lattice")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_in(1, 11), required=True)
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("lattice", help="emit the Tamari lattice as JSON")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=lattice_n, required=True)
     p.set_defaults(func=cmd_lattice)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.__stdout__.flush()  # so that a closed pipe fails here, not at exit
+    except SystemExit:  # --help, printed; every other refusal raises
+        return 0
     except CatbijError as exc:
-        return _die(exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull, as the Python docs
         # advise, so that the flush at exit does not fail again

@@ -13,9 +13,9 @@ deserialize are mutually inverse on every valid object.  MAX_N = 12 bounds n
 in every family; the CLI enforces it on every document and enumeration, and
 both torsion directions here refuse an ambient outside 0..MAX_N before its
 ball or text tables are built.  A torsion document is read straight into the
-two ball masks of torsion._engine(n), each ball checked as it is read; it is
-a pair exactly when generation gives it back from its torsion class,
-compared on those masks.  Ambient 0 has the one pair with no balls.
+two ball masks of torsion._engine(n), each ball checked as it is read, and
+serialize_torsion writes from those masks; both refuse a non-pair by
+torsion._is_pair.  Ambient 0 has the one pair with no balls.
 
 Writing skips json.dumps: quoted and int_array write what it writes, and
 torsion text has one writer, _torsion_writer(n).  enumeration_lines streams
@@ -146,9 +146,12 @@ def deserialize_young(text: str) -> YoungDiagram:
 # -- torsion pairs ----------------------------------------------------------
 
 def serialize_torsion(tp: TorsionPair) -> str:
-    n = check_n(tp.n, "torsion")  # before the writer tables of n are built
-    tors, free = (sum(1 << ((x.a - 1) * n + x.b - 1) for x in c) for c in (tp.torsion, tp.free))
-    return _torsion_writer(n)(tors, free)
+    n = check_n(tp.n, "torsion")  # before the tables of n are built
+    e = torsion._engine(n)
+    tors, free = (torsion._to_mask(c, n, e.row) for c in (tp.torsion, tp.free))
+    if not torsion._is_pair(tors, free, e):
+        raise InvariantError("not a torsion pair (perpendicularity fails)")
+    return _torsion_writer(n, True)(tors, free)
 
 
 def deserialize_torsion(text: str) -> TorsionPair:
@@ -190,9 +193,7 @@ def deserialize_torsion(text: str) -> TorsionPair:
     # each non-root node of a pair's tree puts at least one ball in a class
     if tors.bit_count() + free.bit_count() < n - 1:
         raise InvariantError(f"document is not a torsion pair (too few balls for ambient {n})")
-    # a pair is what generation gives back from its torsion class: the free
-    # class is tors-perp and the torsion class is perp of that
-    if torsion._generate_mask(tors, e) != (tors, free):
+    if not torsion._is_pair(tors, free, e):
         raise InvariantError("document is not a torsion pair (perpendicularity fails)")
     return TorsionPair(torsion._to_set(tors, e.balls), torsion._to_set(free, e.balls), n)
 
@@ -220,14 +221,18 @@ def _after(v: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _torsion_writer(n: int):
+def _torsion_writer(n: int, engine: bool = False):
     """The serialize_torsion text of an ambient-n pair from its (tors, free)
-    masks with ball [a, b] at bit (a - 1) * n + (b - 1), read a byte at a
-    time: spelled[k][v] is the ", [a, b]" pieces of the balls set in the
-    value v of byte k.  The bits in order are the balls in sorted order."""
-    width = (n * n + 7) // 8
-    # the bits of no ball stay clear
-    pieces = [f", [{k // n + 1}, {k % n + 1}]" for k in range(8 * width)]
+    masks with ball [a, b] at bit (a - 1) * n + (b - 1), or at its bit in
+    torsion._engine(n) if engine is true, read a byte at a time:
+    spelled[k][v] is the ", [a, b]" pieces of the balls set in the value v
+    of byte k.  The bits in order are the balls in sorted order."""
+    if engine:
+        labels = [(x.a, x.b) for x in torsion._engine(n).balls]
+    else:  # the bits of no ball stay clear
+        labels = [(k // n + 1, k % n + 1) for k in range(n * n)]
+    width = (len(labels) + 7) // 8
+    pieces = [f", [{a}, {b}]" for a, b in labels]
     spelled = []
     for k in range(0, len(pieces), 8):
         byte = [""]
@@ -257,5 +262,5 @@ def enumeration_lines(family: str, n: int):
     """For every object of family at size n, in enumeration order, the
     document its serialize_* writes; n is not checked."""
     if family not in _LINES:
-        raise ValueError(f"unknown family {family!r}")
+        raise InvariantError(f"unknown family {family!r}")
     return _LINES[family](n)

@@ -196,6 +196,12 @@ def _generate_mask(seed_mask, e):
     return e.full & ~_union(free, e.hom_to), free
 
 
+def _is_pair(tors, free, e) -> bool:
+    """Whether two masks are a torsion pair: what generation gives back from
+    the torsion class, so the free class is its perp and it is perp of that."""
+    return _generate_mask(tors, e) == (tors, free)
+
+
 def torsion_generate(seed, n: int) -> TorsionPair:
     """Smallest torsion pair whose torsion class contains the seed."""
     e = _engine(n)

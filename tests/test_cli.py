@@ -10,6 +10,17 @@ import tracemalloc
 
 import pytest
 
+from catbij import (
+    LEAF,
+    Node,
+    TorsionPair,
+    YoungDiagram,
+    bookshelf_gapped,
+    dyck,
+    right_comb,
+    tamari,
+    torsion,
+)
 from catbij.cli import main
 
 
@@ -80,11 +91,41 @@ def test_enumerate_lines_are_the_serialized_validated_objects(capsys, family):
 
 def test_enumerate_usage_errors(capsys):
     code, _, err = run(capsys, "enumerate", "widget", "--n", "2")
-    assert code == 1 and "unknown family" in err
+    assert code == 1 and "invalid choice: 'widget'" in err
     code, _, err = run(capsys, "enumerate", "tree", "--n", "40")
     assert code == 1 and "out of bounds" in err
     code, _, err = run(capsys, "enumerate", "torsion", "--n", "13")
     assert code == 1 and "out of bounds" in err
+
+
+# argv: what its one error line says, in words that argparse keeps from
+# Python 3.10 to 3.12
+REFUSED = {
+    "unknown-verb": (["frob"], "'frob'"),
+    "unknown-family": (["enumerate", "widget", "--n", "2"], "'widget'"),
+    "unknown-suite": (["verify", "everything"], "'everything'"),
+    "unknown-render-family": (["render", "dyck", "--input", '"UR"'], "'dyck'"),
+    "non-int-n": (["enumerate", "tree", "--n", "abc"], "'abc'"),
+    "missing-n": (["enumerate", "tree"], "--n"),
+    "bad-format": (["convert", "tree", "dyck", "--format", "xml", "--input", '"•"'], "'xml'"),
+    "bad-backend": (["render", "tree", "--backend", "png", "--input", '"•"'], "'png'"),
+    "render-tree-n": (["render", "tree", "--n", "3", "--input", '"•"'], "render lattice only"),
+    "render-lattice-no-n": (["render", "lattice", "--backend", "dot"], "render lattice only"),
+    "enumerate-below": (["enumerate", "tree", "--n=-1"], "0..12"),
+    "enumerate-above": (["enumerate", "tree", "--n", "13"], "0..12"),
+    "chains-below": (["chains", "--n", "0"], "1..11"),
+    "chains-above": (["chains", "--n", "12"], "1..11"),
+    "lattice-below": (["lattice", "--n", "0"], "1..8"),
+    "lattice-above": (["lattice", "--n", "9"], "1..8"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_a_refused_argv_prints_one_error_line(capsys, case):
+    argv, says = REFUSED[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err
 
 
 @pytest.mark.parametrize("family", ["tree", "dyck", "young", "perm213", "torsion"])
@@ -238,6 +279,14 @@ def test_run_suite_refuses_n_max_outside_2_to_9(monkeypatch, n_max):
         v.run_suite("all", n_max)
 
 
+def test_run_suite_refuses_an_unknown_suite():
+    from catbij import InvariantError
+    import catbij.verify as v
+
+    with pytest.raises(InvariantError, match="unknown suite 'everything'"):
+        v.run_suite("everything", 4)
+
+
 def test_verify_failure_exits_2(capsys, monkeypatch):
     import catbij.verify as v
 
@@ -287,6 +336,100 @@ def test_verify_oracles_are_not_vacuous(monkeypatch):
     }
     monkeypatch.undo()
     torsion._engine.cache_clear()
+
+
+def one_sided_dyck(monkeypatch):
+    # dyck_to_tree adds a root over a bare left leaf and tree_to_dyck strips
+    # one: dyck -> tree -> dyck is still the identity, tree -> dyck -> tree not
+    to_tree, to_dyck = dyck.dyck_to_tree, dyck.tree_to_dyck
+    monkeypatch.setattr(dyck, "dyck_to_tree", lambda p: Node(LEAF, to_tree(p)))
+    monkeypatch.setattr(
+        dyck, "tree_to_dyck", lambda t: to_dyck(t.right if t != LEAF and t.left == LEAF else t)
+    )
+
+
+def generation_short_of_simple_balls(monkeypatch):
+    # generation and the closure rules agree, so only idempotence can see
+    # that both drop the simple balls; the free class stays right
+    generate = torsion.torsion_generate
+
+    def short(seed, n):
+        pair = generate(seed, n)
+        return TorsionPair({x for x in pair.torsion if x.a < x.b}, pair.free, n)
+
+    monkeypatch.setattr(torsion, "torsion_generate", short)
+    monkeypatch.setattr(torsion, "complete_torsion_hu", lambda seed, n: short(seed, n).torsion)
+
+
+def wrong(module, name, make):
+    """Patches module.name to make(the real map)."""
+    return lambda monkeypatch: monkeypatch.setattr(
+        module, name, make(getattr(module, name))
+    )
+
+
+# check: (what makes its map wrong where no other check looks, the first
+# counterexample its report promises)
+WRONG_MAPS = {
+    "tree->dyck->tree": (one_sided_dyck, "•"),
+    "dyck->tree->dyck and dyck->young->dyck": (
+        wrong(dyck, "dyck_to_young", lambda real: lambda p: YoungDiagram(
+            real(p).rows[1:], p.semilength)),  # the top row dropped
+        "URUR",
+    ),
+    "tree <-> torsion": (
+        wrong(torsion, "torsion_to_tree", lambda real: lambda objs, n: right_comb(n)),
+        "((••)•)",
+    ),
+    "torsion gapped frame == bookshelf gapped frame": (
+        wrong(torsion, "torsion_to_gapped_young",
+              lambda real: lambda objs, n: bookshelf_gapped(right_comb(n))),
+        "((••)•)",
+    ),
+    "hom reflexive and antisymmetric": (
+        wrong(torsion, "hom_nonzero", lambda real: lambda x, y, n: True),
+        [[1, 1], [1, 2]],
+    ),
+    "trees give torsion pairs (both clauses)": (
+        wrong(torsion, "perp_left", lambda real: lambda objs, n: frozenset()),
+        "((••)•)",
+    ),
+    "generation is idempotent on classes": (generation_short_of_simple_balls, "((••)•)"),
+    "rectangle decomposition round trip": (
+        wrong(torsion, "recompose_rectangle",
+              lambda real: lambda split, n: split.rectangle | split.left),  # no right piece
+        "((••)(••))",
+    ),
+    "node counts and lattice property": (
+        wrong(tamari, "build_lattice", lambda real: lambda n: real(max(n - 1, 1))),
+        {"n": 2, "nodes": 1},
+    ),
+    "torsion bijection reverses covers": (
+        wrong(tamari, "_torsion_masks",
+              lambda real: lambda n: ((free, tors) for tors, free in real(n))),
+        {"n": 2},
+    ),
+    "maximal chain counts": (
+        wrong(tamari, "count_maximal_chains", lambda real: lambda n: 1),
+        {"n": 3, "chains": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_MAPS)
+def test_each_verify_check_fails_alone_on_its_wrong_map(monkeypatch, name):
+    import catbij.verify as v
+
+    make_wrong, first = WRONG_MAPS[name]
+    make_wrong(monkeypatch)
+    try:
+        report = v.run_suite("all", 4)
+    finally:
+        monkeypatch.undo()
+        torsion._engine.cache_clear()  # drop what the patch put in the tables
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [name]
+    assert failed[0]["counterexamples"][0] == first
 
 
 def test_enumerate_writes_in_small_chunks(monkeypatch):

@@ -1,8 +1,14 @@
-"""The README's CLI examples: every `catbij ...` line of its CLI block runs
-with exit 0, and a comment that gives the output is the output."""
+"""The README's examples: every `catbij ...` line of its CLI block runs with
+exit 0, and a comment that gives the output is the output; the Python block
+of its library tour runs statement by statement, and a comment that starts
+with a Python literal gives the value of its expression."""
 
+import ast
+import io
 import pathlib
+import re
 import shlex
+import tokenize
 
 import pytest
 
@@ -35,3 +41,39 @@ def test_readme_cli_line(line, capsys, monkeypatch, tmp_path):
     out = capsys.readouterr().out
     if comment.strip() in LITERAL:
         assert "  ".join(out.splitlines()) == comment.strip()
+
+
+# a quoted string, a parenthesized tuple, a bool or an int, ending the
+# comment or followed by a space, a colon or a comma
+LEADING_LITERAL = re.compile(r"('[^']*'|\([^()]*\)|True|False|\d+)(?=[\s:,]|$)")
+
+
+def tour_statements():
+    """(statement, the literal its last line's comment starts with, or None)
+    for the statements of the library tour's Python block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string.lstrip("# ")
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    for stmt in ast.parse(block).body:
+        match = LEADING_LITERAL.match(comments.get(stmt.end_lineno, ""))
+        yield stmt, match and ast.literal_eval(match.group(1))
+
+
+def test_the_library_tour_runs_and_gives_its_commented_values():
+    namespace = {}
+    compared = []
+    for stmt, want in tour_statements():
+        if isinstance(stmt, ast.Expr):
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            if want is not None:
+                assert got == want, ast.unparse(stmt)
+                compared.append(want)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert compared == [
+        "URUURURR", (2, 1, 1), (3, 4, 1, 2), (3, 4, 1, 2), True, True, True, 9, True
+    ]

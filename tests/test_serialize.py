@@ -10,6 +10,7 @@ import pytest
 from catbij import (
     AmbientMismatchError,
     DyckPath,
+    Interval,
     InvariantError,
     LEAF,
     MalformedDocumentError,
@@ -324,6 +325,20 @@ def test_serialize_torsion_writes_what_json_dumps_writes():
         pairs = enumerate_torsion(n) if n <= 8 else [tree_to_torsion(random_tree(rng, n))]
         for pair in pairs:
             assert serialize_torsion(pair) == dumped(pair)
+
+
+def test_serialize_torsion_refuses_a_non_pair():
+    # spelled as given, its document is one the reader refuses
+    pair = TorsionPair({Interval(1, 2)}, (), 3)
+    with pytest.raises(InvariantError, match="not a torsion pair"):
+        serialize_torsion(pair)
+    with pytest.raises(InvariantError, match="not a torsion pair"):
+        deserialize_torsion('{"n": 3, "torsion": [[1, 2]], "free": []}')
+
+
+def test_enumeration_lines_refuses_an_unknown_family():
+    with pytest.raises(InvariantError, match="unknown family 'widget'"):
+        enumeration_lines("widget", 2)
 
 
 @pytest.mark.parametrize("family", ["tree", "perm213", "torsion"])
