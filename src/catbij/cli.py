@@ -1,9 +1,10 @@
 """Command line front end.
 
 Verbs: enumerate, convert, verify, render, chains, lattice.  Enumeration
-streams one JSON document per line in canonical order, from
-serialize.enumeration_lines.  Conversion routes everything through the
-binary tree hub, by the _FAMILY table.  Exit codes: 0 success, 1 usage or
+writes one JSON document per line in canonical order: the runs of
+serialize.enumeration_runs as UTF-8 bytes, each run one join, or torsion's
+enumeration_lines.  Conversion routes everything through the binary tree
+hub, by the _FAMILY table.  Exit codes: 0 success, 1 usage or
 input error (a closed stdout included), 2 verification failure.
 
 Every refusal is a CatbijError, printed by main as one `error:` line.  The
@@ -21,8 +22,8 @@ from itertools import islice
 from . import baseball, dyck, render, serialize, tamari, torsion, verify
 from .bookshelf import bookshelf, inverse_bookshelf
 from .core import (  # the enumerate_* names are not called here; bench/spans.py traces them
+    _parens,
     enumerate_dyck,
-    enumerate_parens,
     enumerate_perms213,
     enumerate_trees,
     enumerate_young,
@@ -109,16 +110,39 @@ def _check_paren(family: str, fmt: str):
         raise InvariantError(f"--format paren is for family 'tree', not {family!r}")
 
 
+def _write_runs(runs):
+    """Write each object of runs (core._runs), UTF-8 bytes, on a line of
+    the stdout buffer: up to 1,024 lines a write, each run or each 1,024
+    lines of it one join."""
+    write = sys.stdout.buffer.write
+    pieces, room = [], 1024
+    for head, middles, tail in runs:
+        end = tail + b"\n"
+        sep = end + head
+        i = 0
+        while i < len(middles):
+            block = middles[i : i + room]
+            pieces += head, sep.join(block), end
+            i += len(block)
+            room -= len(block)
+            if not room:
+                write(b"".join(pieces))
+                pieces, room = [], 1024
+    write(b"".join(pieces))
+
+
 def cmd_enumerate(args) -> int:
     _check_paren(args.family, args.format)
-    if args.format == "paren":
-        lines = enumerate_parens(args.n)
+    if args.family == "torsion":
+        # a torsion line is read off its masks alone; 256 lines keep a
+        # chunk small, as they are long (about 400 characters at n = 12)
+        lines = serialize.enumeration_lines("torsion", args.n)
+        while chunk := list(islice(lines, 256)):
+            sys.stdout.write("\n".join(chunk) + "\n")
+    elif args.format == "paren":
+        _write_runs(_parens(args.n, b""))
     else:
-        lines = serialize.enumeration_lines(args.family, args.n)
-    # a write per line costs more than making the line; 256 lines keep a
-    # chunk small where lines are long (torsion at n = 12: about 400 characters)
-    while chunk := list(islice(lines, 256)):
-        sys.stdout.write("\n".join(chunk) + "\n")
+        _write_runs(serialize.enumeration_runs(args.family, args.n))
     return 0
 
 
@@ -141,6 +165,8 @@ def cmd_render(args) -> int:
         raise InvariantError(f"no {args.backend!r} backend for family {args.family!r}")
     if (args.n is None) == (args.family == "lattice"):
         raise InvariantError("--n is for render lattice only, which needs it")
+    if args.n is not None and args.input is not None:
+        raise InvariantError("--input is not for render lattice, which draws --n")
     out = draw(args.n if args.n is not None else _read(args.family, args.input))
     if args.out:
         try:

@@ -13,13 +13,15 @@ counts steps along the left root axis and the second along the right.
 Every bijection out of a tree reads its family off one walk, node_spans,
 made once per tree and kept on it.
 
-The enumerators of trees, Dyck words, staircase rows and 213-avoiders build
-each object of size n as one join of a few pieces from tables of the
-smaller sizes, made bottom-up with loops; the size-n objects are streamed,
-and so is any smaller size too large to keep (_entry).  Tuples and strings
-both concatenate with +, so the same table code makes the library's lists
-(tuple pieces) and the CLI's JSON lines (text pieces, via serialize).  Trees
-are immutable and share subtrees freely.
+The enumerators of trees, Dyck words, staircase rows and 213-avoiders yield
+runs (head, middles, tail): the objects head + m + tail for each m of
+middles, an entry of a table of smaller objects made bottom-up with loops.
+No object of size n is kept, nor of a smaller size too large to keep
+(_entry): its runs come from its root splits instead (_runs).  Tuples, str
+and bytes all concatenate with +, so the same code makes the library's
+lists (tuple or str pieces, one join per object) and the CLI's JSON lines
+(UTF-8 pieces via serialize, one join per run).  Trees are immutable and
+share subtrees freely.
 
 The value types here, Shelf, RectangleSplit and TamariPoset are _Records:
 slotted fields named by __match_args__, set by an __init__ that makes the
@@ -71,6 +73,11 @@ class _Record:
 
     def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
         return self.__class__, self._key(self)
+
+    def _fields(self, *values):
+        """Set the fields, in __match_args__ order, to values."""
+        for name, value in zip(self.__match_args__, values):
+            _set(self, name, value)
 
 
 def _compare(op):
@@ -317,7 +324,8 @@ _KEEP = 1 << 15  # objects; a larger table is not kept (_entry, torsion._engine)
 
 class _Rejoined:
     """A table entry too large to keep: each read joins it again, as
-    rows(*args), from the smaller sizes."""
+    rows(*args), from the smaller sizes.  The text enumerators read its
+    root splits instead (_runs)."""
 
     def __init__(self, rows, *args):
         self.rows, self.args = rows, args
@@ -363,7 +371,7 @@ def enumerate_trees(n: int) -> tuple:
 
 # A spelling (open, first, after, close) writes a sequence of ints v1, v2,
 # ..., vk as open + first(v1) + after(v2) + ... + after(vk) + close.  The
-# pieces are all str or all tuples.
+# pieces are all str, all bytes or all tuples.
 
 def _one(v):
     return (v,)
@@ -372,85 +380,121 @@ def _one(v):
 _TUPLES = ((), _one, _one, ())
 
 
-def _parens(n: int, quote: str):
-    """to_paren of every tree of enumerate_trees(n), in the same order,
-    each between two quotes."""
+def _spelled(quote, *texts):
+    """texts, as UTF-8 bytes if quote is bytes."""
+    return texts if isinstance(quote, str) else [t.encode() for t in texts]
 
-    def rows(table, m):
-        return ("(" + l + r + ")" for _, l, rights in _splits(table, m) for r in rights)
 
-    table = _tables(n - 1, "•", rows)
-    if n == 0:
-        yield quote + "•" + quote
-    close = ")" + quote
-    for _, l, rights in _splits(table, n):
-        head = quote + "(" + l
-        for r in rights:
-            yield f"{head}{r}{close}"  # one join of the three pieces
+def _runs(head, entry, tail):
+    """Runs (head, middles, tail), in order, of the objects head + x + tail
+    for each x of a table entry: those of a run are head + m + tail for each
+    m of middles, a kept entry.
+
+    An entry too large to keep, _Rejoined(_joined, splits), is not joined:
+    for each split (p, lefts, rights, s) its objects are p + l + r + s, so
+    if rights holds one object r the lefts are the middles, between
+    head + p and r + s + tail; else each l of lefts heads a run of the
+    rights.
+    """
+    if not isinstance(entry, _Rejoined):
+        yield head, entry, tail
+        return
+    (splits,) = entry.args
+    for prefix, lefts, rights, suffix in splits:
+        if isinstance(rights, tuple) and len(rights) == 1:
+            runs = ((head + prefix, lefts, rights[0] + suffix + tail),)
+        else:
+            runs = ((head + prefix + l, rights, suffix + tail) for l in lefts)
+        for h, middles, t in runs:
+            if isinstance(middles, _Rejoined):
+                yield from _runs(h, middles, t)
+            else:
+                yield h, middles, t
+
+
+def _joined(splits):
+    """p + l + r + s for each split (p, lefts, rights, s), each l of lefts
+    and each r of rights: a text table entry, one join per object."""
+    return (p + l + r + s for p, lefts, rights, s in splits for l in lefts for r in rights)
+
+
+def _lines(runs):
+    """The objects head + m + tail of runs, in order."""
+    return (head + m + tail for head, middles, tail in runs for m in middles)
+
+
+def _parens(n: int, quote):
+    """Runs (see _runs) of to_paren of every tree of enumerate_trees(n), in
+    the same order, each between two quotes; in UTF-8 if quote is bytes."""
+    open_, leaf, close = _spelled(quote, "(", "•", ")")
+    table = [(leaf,)]
+    for m in range(1, n + 1):  # size n is never kept
+        splits = [(open_, table[i], table[m - 1 - i], close) for i in range(m)]
+        table.append(_entry(catalan(m), _joined, splits) if m < n else _Rejoined(_joined, splits))
+    return _runs(quote, table[n], quote)
 
 
 def enumerate_parens(n: int):
     """to_paren of every tree of enumerate_trees(n), in the same order.
 
     The strings are joined by the same root split, from the strings of the
-    smaller sizes, so no tree is built or walked.  The size-n strings are
-    streamed, and at n = 12 so is size 11, re-joined at each of its two
-    reads (_entry).
+    smaller sizes, so no tree is built or walked.  Those of size n, and of
+    size 11 at n = 12 (_entry), are not kept: each is one join of a run's
+    pieces (_runs).
     """
-    return _parens(_size(n), "")
+    return _lines(_parens(_size(n), ""))
 
 
-def _dyck_words(n: int, quote: str):
-    """The Dyck words of semilength n, lexicographic with U before R, each
-    between two quotes.
+def _dyck_words(n: int, quote):
+    """Runs (see _runs) of the Dyck words of semilength n, lexicographic
+    with U before R, each between two quotes; in bytes if quote is.
 
     Meet in the middle: a word is a ballot prefix of n steps, ending at some
     height h, then n steps that fall from h to 0 without going below it.
-    Prefixes are listed in lexicographic order, and each is followed by the
+    Prefixes are listed in lexicographic order, and each is a run of the
     falls from its height in lexicographic order; no table holds more than
     binom(n, n // 2) words.
     """
+    up, right = _spelled(quote, "U", "R")
     heads = [(quote, 0)]  # the ballot prefixes of length m and their heights
     falls = [[quote]]  # falls[h]: the words of length m falling from h to 0
     for _ in range(n):
-        heads = [(w + s, h + d) for w, h in heads for s, d in (("U", 1), ("R", -1)) if h + d >= 0]
+        heads = [(w + s, h + d) for w, h in heads for s, d in ((up, 1), (right, -1)) if h + d >= 0]
         ups = falls[1:] + [[], []]  # ups[h] = falls[h + 1]
         downs = [[]] + falls  # downs[h] = falls[h - 1]
-        falls = [["U" + w for w in u] + ["R" + w for w in d] for u, d in zip(ups, downs)]
-    for w, h in heads:
-        for tail in falls[h]:
-            yield w + tail
+        falls = [[up + w for w in u] + [right + w for w in d] for u, d in zip(ups, downs)]
+    empty = quote[:0]
+    return ((w, falls[h], empty) for w, h in heads)
 
 
 def enumerate_dyck(n: int) -> list:
     """All Dyck words of semilength n, lexicographic with U before R."""
-    return list(_dyck_words(_size(n), ""))
+    return list(_lines(_dyck_words(_size(n), "")))
 
 
 def _young_rows(n: int, spell):
-    """The staircase partitions for ambient n in lexicographic order, each
-    spelled by spell.
+    """Runs (see _runs) of the staircase partitions for ambient n in
+    lexicographic order, each spelled by spell.
 
     rest[c] spells, as after-pieces ending in close, every way to go on
     below the rows so far when the next row is at most c: no more rows
     first, then the next row ascending.  The tables are built from the last
-    row up to the third; the first two rows are streamed.
+    row up to the third; each choice of the first two rows is a run.
     """
     start, first, after, close = spell
+    empty, one = start[:0], (close,)
     rest = []
     for i in range(n - 1, 1, -1):  # i rows so far; row i is at most n - 1 - i
         level = [[close]]
         for c in range(1, n - i):
             level.append(level[-1] + [after(c) + s for s in rest[min(c, n - 2 - i)]])
         rest = level
-    yield start + close
+    yield start, one, empty
     for a in range(1, n):
         head = start + first(a)
-        yield head + close
+        yield head, one, empty
         for b in range(1, min(a, n - 2) + 1):
-            head_b = head + after(b)
-            for tail in rest[min(b, n - 3)]:
-                yield head_b + tail
+            yield head + after(b), rest[min(b, n - 3)], empty
 
 
 def enumerate_young(n: int) -> list:
@@ -458,12 +502,12 @@ def enumerate_young(n: int) -> list:
 
     Rows are weakly decreasing with rows[i] + i + 1 <= n.
     """
-    return list(_young_rows(_size(n), _TUPLES))
+    return list(_lines(_young_rows(_size(n), _TUPLES)))
 
 
 def _perms213(n: int, spell):
-    """The 213-avoiding permutations of 1..n in lexicographic order, each
-    spelled by spell.
+    """Runs (see _runs) of the 213-avoiding permutations of 1..n in
+    lexicographic order, each spelled by spell.
 
     First-element split: a permutation that starts with k avoids 213 iff
     every value above k comes before every value below k and both blocks
@@ -473,37 +517,27 @@ def _perms213(n: int, spell):
     spells the 213-avoiders of length s with every value raised by shift, as
     after-pieces; B is read from table[n - k][k] and C from table[k - 1][0],
     so no value is shifted per object.  At n = 12 lengths 10 and 11 are
-    re-joined at each read rather than kept (_entry).
+    not kept (_entry), and no permutation of those lengths is made (_runs).
     """
     start, first, after, close = spell
     after = [after(v) for v in range(n + 1)]
-    empty = start[:0]  # "" or ()
-    table = [[[empty]] * (n + 1)]  # table[0][shift]: the empty permutation
+    empty = start[:0]  # "", b"" or ()
+    table = [((empty,),) * (n + 1)]  # table[0][shift]: the empty permutation
 
-    def spelled(s, shift):
-        return (
-            after[k + shift] + b + c
-            for k in range(1, s + 1)
-            for b in table[s - k][shift + k]
-            for c in table[k - 1][shift]
-        )
+    def splits(s, shift):
+        return [(after[k + shift], table[s - k][shift + k], table[k - 1][shift], empty)
+                for k in range(1, s + 1)]
 
     for s in range(1, n):
         count = catalan(s) * (n - s + 1)  # every shift of length s
-        table.append([_entry(count, spelled, s, shift) for shift in range(n - s + 1)])
-    if n == 0:
-        yield start + close
-    for k in range(1, n + 1):
-        lead = start + first(k)
-        for b in table[n - k][k]:
-            head = lead + b
-            for c in table[k - 1][0]:
-                yield head + c + close
+        table.append([_entry(count, _joined, splits(s, shift)) for shift in range(n - s + 1)])
+    top = [(first(k), table[n - k][k], table[k - 1][0], empty) for k in range(1, n + 1)]
+    return _runs(start, _Rejoined(_joined, top) if n else table[0][0], close)
 
 
 def enumerate_perms213(n: int) -> list:
     """All 213-avoiding permutations of 1..n in lexicographic order."""
-    return list(_perms213(_size(n), _TUPLES))
+    return list(_lines(_perms213(_size(n), _TUPLES)))
 
 
 def _is_int(v) -> bool:

@@ -19,10 +19,11 @@ torsion._is_pair.  Ambient 0 has the one pair with no balls.
 
 Writing skips json.dumps: quoted and int_array write what it writes, and
 torsion text has one writer, _torsion_writer(n).  enumeration_lines streams
-the documents of a whole enumeration: core's enumerators spell each tree,
-Dyck, Young or 213-avoider document as one join of JSON text pieces, and
-torsion documents come from that writer on the masks of the trees' split
-tables, so no object is built, checked or formatted per line.
+the documents of a whole enumeration: core's enumerators spell the tree,
+Dyck, Young and 213-avoider documents as runs of JSON text pieces
+(enumeration_runs, in str or UTF-8 bytes), and torsion documents come from
+that writer on the masks of the trees' split tables, so no object is
+built, checked or formatted per line.
 """
 
 import json
@@ -41,6 +42,7 @@ from .core import (
     YoungDiagram,
     _dyck_words,
     _is_int,
+    _lines,
     _parens,
     _perms213,
     _young_rows,
@@ -216,10 +218,6 @@ def deserialize_perm(text: str) -> tuple:
 
 # -- enumeration lines ------------------------------------------------------
 
-def _after(v: int) -> str:
-    return ", " + str(v)
-
-
 @lru_cache(maxsize=None)
 def _torsion_writer(n: int, engine: bool = False):
     """The serialize_torsion text of an ambient-n pair from its (tors, free)
@@ -249,18 +247,35 @@ def _torsion_writer(n: int, engine: bool = False):
     return write
 
 
-_LINES = {  # family: the documents of its objects at size n, in enumeration order
-    "tree": lambda n: _parens(n, '"'),
-    "dyck": lambda n: _dyck_words(n, '"'),
-    "young": lambda n: _young_rows(n, (f'{{"n": {n}, "rows": [', str, _after, "]}")),
-    "perm213": lambda n: _perms213(n, ("[", str, _after, "]")),
-    "torsion": lambda n: starmap(_torsion_writer(n), torsion._torsion_masks(n)),
+def _spell(code, start, close):
+    """The spelling (see core) of an int array between start and close,
+    every piece code(text)."""
+    return code(start), lambda v: code(str(v)), lambda v: code(", " + str(v)), code(close)
+
+
+_RUNS = {  # family: the runs (core._runs) of its documents at size n, each piece code(text)
+    "tree": lambda n, code: _parens(n, code('"')),
+    "dyck": lambda n, code: _dyck_words(n, code('"')),
+    "young": lambda n, code: _young_rows(n, _spell(code, f'{{"n": {n}, "rows": [', "]}")),
+    "perm213": lambda n, code: _perms213(n, _spell(code, "[", "]")),
 }
+
+
+def enumeration_runs(family: str, n: int, code=str.encode):
+    """The documents of enumeration_lines(family, n), for a family other
+    than torsion, as runs (head, middles, tail): each is head + m + tail for
+    each m of middles (core._runs).  Every piece is code(text), UTF-8 bytes
+    by default; n is not checked."""
+    if family not in _RUNS:
+        raise InvariantError(f"no runs for family {family!r}")
+    return _RUNS[family](n, code)
 
 
 def enumeration_lines(family: str, n: int):
     """For every object of family at size n, in enumeration order, the
     document its serialize_* writes; n is not checked."""
-    if family not in _LINES:
+    if family == "torsion":
+        return starmap(_torsion_writer(n), torsion._torsion_masks(n))
+    if family not in _RUNS:
         raise InvariantError(f"unknown family {family!r}")
-    return _LINES[family](n)
+    return _lines(enumeration_runs(family, n, str))

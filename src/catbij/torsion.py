@@ -43,7 +43,6 @@ from .core import (
     TorsionPair,
     _KEEP,
     _Record,
-    _set,
     _splits,
     _tables,
     catalan,
@@ -102,9 +101,7 @@ class _Engine(_Record):
         "kept", "sets", "pairs", "closures", "splits",
     )
 
-    def __init__(self, *values):
-        for name, value in zip(self.__match_args__, values):
-            _set(self, name, value)
+    __init__ = _Record._fields
 
 
 @lru_cache(maxsize=None)
@@ -374,8 +371,7 @@ class RectangleSplit(_Record):
     def __init__(
         self, skipped: int, width: int, rectangle: frozenset, left: frozenset, right: frozenset
     ):
-        for name, value in zip(self.__match_args__, (skipped, width, rectangle, left, right)):
-            _set(self, name, value)
+        self._fields(skipped, width, rectangle, left, right)
 
 
 def decompose_rectangle(objs, n: int) -> RectangleSplit:

@@ -54,6 +54,7 @@ def test_enumerate_lines_are_the_serialized_validated_objects(capsys, family):
         DyckPath,
         YoungDiagram,
         enumerate_dyck,
+        enumerate_parens,
         enumerate_perms213,
         enumerate_trees,
         enumerate_young,
@@ -86,7 +87,27 @@ def test_enumerate_lines_are_the_serialized_validated_objects(capsys, family):
         assert code == 0 and out.splitlines() == want
         if family == "tree":
             code, out, _ = run(capsys, "enumerate", "tree", "--n", str(n), "--format", "paren")
-            assert code == 0 and out.splitlines() == [to_paren(t) for t in enumerate_trees(n)]
+            assert code == 0
+            assert out.splitlines() == [to_paren(t) for t in enumerate_trees(n)]
+            assert out.splitlines() == list(enumerate_parens(n))
+
+
+# the sha256 of each verb's stdout at its bound, as bench/workloads.py DIGESTS
+# pins them
+N12_DIGESTS = {
+    "tree": "64e3d89a9f790aa80272af1e870c3463f3e1f8d21cc3cc3b475d601394f141a2",
+    "dyck": "51e8fd5d6ddb9c040bcec3ac274eafc9a9126c845199001c856cc6a76d4eac45",
+    "young": "b76894c96bc833fb992f5930f332938bcc4041951f413708b69d60464532b954",
+    "perm213": "81aef49f277ca0e17ca3a2f4e2a6d1a46113b250a6c5c1e7a80b8460d74958a0",
+}
+
+
+@pytest.mark.parametrize("family", N12_DIGESTS)
+def test_enumerate_n12_prints_the_pinned_bytes(capsysbinary, family):
+    assert main(["enumerate", family, "--n", "12"]) == 0
+    out = capsysbinary.readouterr().out
+    assert out.count(b"\n") == 208_012
+    assert hashlib.sha256(out).hexdigest() == N12_DIGESTS[family]
 
 
 def test_enumerate_usage_errors(capsys):
@@ -111,6 +132,10 @@ REFUSED = {
     "bad-backend": (["render", "tree", "--backend", "png", "--input", '"•"'], "'png'"),
     "render-tree-n": (["render", "tree", "--n", "3", "--input", '"•"'], "render lattice only"),
     "render-lattice-no-n": (["render", "lattice", "--backend", "dot"], "render lattice only"),
+    "render-lattice-input": (
+        ["render", "lattice", "--n", "2", "--backend", "dot", "--input", '"garbage"'],
+        "--input is not for render lattice",
+    ),
     "enumerate-below": (["enumerate", "tree", "--n=-1"], "0..12"),
     "enumerate-above": (["enumerate", "tree", "--n", "13"], "0..12"),
     "chains-below": (["chains", "--n", "0"], "1..11"),

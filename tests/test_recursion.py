@@ -11,6 +11,7 @@ from pathlib import Path
 import catbij
 
 BOUNDED = {
+    "core._runs",  # one level per size whose table is not kept, fewer than n
     "verify._gap_insertion",  # one level per size, n <= 9 by --n-max
 }
 

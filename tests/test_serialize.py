@@ -28,6 +28,7 @@ from catbij import (
     hom_nonzero,
 )
 from catbij import core, torsion
+from catbij.cli import main
 from catbij.serialize import (
     deserialize_dyck,
     deserialize_perm,
@@ -35,6 +36,7 @@ from catbij.serialize import (
     deserialize_tree,
     deserialize_young,
     enumeration_lines,
+    enumeration_runs,
     int_array,
     quoted,
     serialize_dyck,
@@ -341,24 +343,46 @@ def test_enumeration_lines_refuses_an_unknown_family():
         enumeration_lines("widget", 2)
 
 
-@pytest.mark.parametrize("family", ["tree", "perm213", "torsion"])
-def test_rejoined_tables_give_the_kept_lines(monkeypatch, family):
+@pytest.mark.parametrize("family", ["tree", "dyck", "young", "perm213", "torsion", "paren"])
+def test_rejoined_tables_give_the_kept_lines(monkeypatch, capsysbinary, family):
     # at n <= 8 every table is kept; with a tiny cap the same sizes are
-    # re-joined at each read instead, as the largest are at n = 12
-    kept = [list(enumeration_lines(family, n)) for n in range(9)]
+    # re-joined at each read, or split into runs, as the largest are at
+    # n = 12; either way the CLI's blocks are the same lines, byte for byte
+    def lines(n):
+        return list(enumerate_parens(n) if family == "paren" else enumeration_lines(family, n))
+
+    def printed(n):
+        argv = ["enumerate", family, "--n", str(n)]
+        if family == "paren":
+            argv[1:2] = ["tree", "--format", "paren"]
+        assert main(argv) == 0
+        return capsysbinary.readouterr().out
+
+    kept = [lines(n) for n in range(9)]
+    want = ["".join(line + "\n" for line in k).encode() for k in kept]
+    assert [printed(n) for n in range(9)] == want
     monkeypatch.setattr(core, "_KEEP", 5)
-    assert [list(enumeration_lines(family, n)) for n in range(9)] == kept
+    assert [lines(n) for n in range(9)] == kept
+    assert [printed(n) for n in range(9)] == want
 
 
 @pytest.mark.parametrize("family", ["tree", "dyck", "young", "perm213", "torsion"])
 def test_n12_enumeration_holds_under_4_mb(family):
-    # what the generator keeps once its first line is out: its tables
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        lines = enumeration_lines(family, 12)
-        next(lines)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held < 4_000_000
+    # what a generator keeps once its first line or run is out: its tables;
+    # a run generator peaks under the same bound over all its runs, as it
+    # makes no object of a size whose table is not kept
+    makers = [enumeration_lines] if family == "torsion" else [enumeration_lines, enumeration_runs]
+    for make in makers:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            items = make(family, 12)
+            next(items)
+            held = tracemalloc.get_traced_memory()[0] - before
+            if make is enumeration_runs:
+                for _ in items:
+                    pass
+                assert tracemalloc.get_traced_memory()[1] - before < 4_000_000
+        finally:
+            tracemalloc.stop()
+        assert held < 4_000_000
