@@ -10,7 +10,8 @@ input error (a closed stdout included), 2 verification failure.
 Every refusal is a CatbijError, printed by main as one `error:` line.  The
 parser declares the choices and the documented --n bounds: 0..12 for every
 family, 1..8 for the lattice (the one render that takes --n) and 1..11 for
-chain counting; verify.run_suite holds --n-max to 2..9.
+chain counting; verify.run_suite holds --n-max to 2..9.  verify runs its
+suite's check groups on the CPUs the process may use; there is no setting.
 """
 
 import argparse

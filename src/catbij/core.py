@@ -32,6 +32,7 @@ FrozenInstanceError on assignment, copy and pickle through __init__, and
 dataclasses, whose import and methods took 18 of the 24 ms of CLI start.
 """
 
+import os
 from _thread import allocate_lock
 from math import comb
 from operator import attrgetter, ge, gt, le, lt
@@ -353,6 +354,18 @@ def _tables(n: int, leaf, rows) -> list:
 
 _TREES = [(LEAF,)]  # _TREES[m] is enumerate_trees(m), built once
 _TREES_LOCK = allocate_lock()
+
+
+def _free_trees_lock():
+    """A forked child starts with a free lock, since the thread that may hold
+    the parent's is not in the child to release it.  _TREES is whole there:
+    each size goes in by one append."""
+    global _TREES_LOCK
+    _TREES_LOCK = allocate_lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_free_trees_lock)
 
 
 def enumerate_trees(n: int) -> tuple:

@@ -441,8 +441,37 @@ WRONG_MAPS = {
 }
 
 
-@pytest.mark.parametrize("name", WRONG_MAPS)
-def test_each_verify_check_fails_alone_on_its_wrong_map(monkeypatch, name):
+def cpus(monkeypatch, k):
+    """Makes run_suite see k CPUs, so that it forks k - 1 children."""
+    import catbij.verify as v
+
+    monkeypatch.setattr(v, "_cpus", lambda: k)
+
+
+def caller_takes_none(monkeypatch):
+    """Makes run_suite's caller wait for its child to end and take no group,
+    so that the child runs them all.  Returns the list of the child exit
+    statuses the caller saw."""
+    import catbij.verify as v
+
+    caller, take, statuses = os.getpid(), v._take, []
+
+    def takes(queue):
+        if os.getpid() != caller:
+            return take(queue)
+        statuses.append(os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT).si_status)
+        return iter(())
+
+    monkeypatch.setattr(v, "_take", takes)
+    return statuses
+
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "waitid")), reason="run_suite forks only with os.fork"
+)
+
+
+def assert_fails_alone(monkeypatch, name):
     import catbij.verify as v
 
     make_wrong, first = WRONG_MAPS[name]
@@ -455,6 +484,191 @@ def test_each_verify_check_fails_alone_on_its_wrong_map(monkeypatch, name):
     failed = [c for c in report["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == [name]
     assert failed[0]["counterexamples"][0] == first
+
+
+@pytest.mark.parametrize("name", WRONG_MAPS)
+def test_each_verify_check_fails_alone_on_its_wrong_map(monkeypatch, name):
+    cpus(monkeypatch, 1)
+    assert_fails_alone(monkeypatch, name)
+
+
+@needs_fork
+@pytest.mark.parametrize("name", WRONG_MAPS)
+def test_each_verify_check_fails_alone_in_a_child(monkeypatch, name):
+    # the patched map is the one the forked child calls
+    cpus(monkeypatch, 2)
+    statuses = caller_takes_none(monkeypatch)
+    assert_fails_alone(monkeypatch, name)
+    assert statuses == [0]
+
+
+@needs_fork
+@pytest.mark.parametrize("suite", ["roundtrips", "commutativity", "torsion", "tamari", "all"])
+def test_run_suite_reports_the_same_on_one_cpu_and_on_more(monkeypatch, suite):
+    import catbij.verify as v
+
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(suite)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    for n_max in range(2, 8):
+        cpus(monkeypatch, 1)
+        one = v.run_suite(suite, n_max)
+        for k in (2, 8):  # 8: one process per group of all
+            cpus(monkeypatch, k)
+            got = v.run_suite(suite, n_max)
+            assert got == one
+            assert json.dumps(got, indent=2) == json.dumps(one, indent=2)
+    # no more processes than groups: a suite of one group runs it here
+    groups = len(v.SUITES[suite])
+    assert len(forks) == 6 * sum(min(k, groups) - 1 for k in (2, 8))
+
+
+@needs_fork
+def test_run_suite_reports_the_same_from_a_child_that_runs_every_group(monkeypatch):
+    import catbij.verify as v
+
+    cpus(monkeypatch, 1)
+    want = [v.run_suite("all", n_max) for n_max in range(2, 8)]
+    cpus(monkeypatch, 2)
+    statuses = caller_takes_none(monkeypatch)
+    got = [v.run_suite("all", n_max) for n_max in range(2, 8)]
+    assert [json.dumps(r, indent=2) for r in got] == [json.dumps(r, indent=2) for r in want]
+    assert statuses == [0] * 6
+
+
+@needs_fork
+def test_run_suite_runs_every_group_in_the_caller_when_it_cannot_fork(monkeypatch):
+    import catbij.verify as v
+
+    def refused():
+        raise BlockingIOError("fork refused")
+
+    cpus(monkeypatch, 1)
+    want = v.run_suite("all", 4)
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refused)
+    assert v.run_suite("all", 4) == want
+
+
+@needs_fork
+def test_the_groups_of_a_child_that_sends_short_data_run_in_the_caller(monkeypatch):
+    import marshal
+
+    import catbij.verify as v
+
+    cpus(monkeypatch, 1)
+    want = v.run_suite("all", 4)
+    cpus(monkeypatch, 2)
+    statuses = caller_takes_none(monkeypatch)
+    dumps = marshal.dumps
+    monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-1])
+    assert v.run_suite("all", 4) == want
+    assert statuses == [0]
+
+
+@needs_fork
+@pytest.mark.parametrize("in_child", [False, True], ids=["shared", "in_child"])
+def test_a_check_that_raises_raises_in_the_caller_and_leaves_no_child(
+    capsys, monkeypatch, in_child
+):
+    from catbij import InvariantError
+    import catbij.verify as v
+
+    def broken(p):
+        raise InvariantError(f"no tree for {p.steps!r}")
+
+    monkeypatch.setattr(dyck, "dyck_to_tree", broken)
+    cpus(monkeypatch, 1)
+    with pytest.raises(InvariantError) as serial:
+        v.run_suite("all", 4)
+    cpus(monkeypatch, 2)
+    statuses = caller_takes_none(monkeypatch) if in_child else []
+    with pytest.raises(InvariantError) as forked:
+        v.run_suite("all", 4)
+    assert str(forked.value) == str(serial.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    code, out, err = run(capsys, "verify", "all", "--n-max", "4")
+    assert (code, out, err) == (1, "", f"error: {serial.value}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert statuses == ([1, 1] if in_child else [])
+
+
+FORKS_WITH_A_THREAD = """
+import json, os, sys, threading
+import catbij.verify as v
+
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+try:
+    report = v.run_suite("all", 3)
+finally:
+    stop.set()
+    thread.join()
+print(json.dumps({"forks": len(forks), "report": report}))
+"""
+
+
+@needs_fork
+def test_run_suite_forks_no_child_while_another_thread_is_alive(monkeypatch):
+    import catbij
+    import catbij.verify as v
+
+    cpus(monkeypatch, 1)
+    want = v.run_suite("all", 3)
+    src = pathlib.Path(catbij.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", FORKS_WITH_A_THREAD],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(proc.stdout) == {"forks": 0, "report": want}
+
+
+FORKS_WHILE_A_THREAD_BUILDS_TREES = """
+import os, signal, threading
+from catbij import core
+
+held, stop = threading.Event(), threading.Event()
+
+def hold():
+    with core._TREES_LOCK:
+        held.set()
+        stop.wait()
+
+thread = threading.Thread(target=hold)
+thread.start()
+held.wait()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child stuck on the lock ends here, not never
+    os._exit(0 if len(core.enumerate_trees(6)) == 132 else 1)
+_, status = os.waitpid(pid, 0)
+stop.set()
+thread.join()
+print(status)
+"""
+
+
+@needs_fork
+def test_a_forked_child_can_build_trees_while_the_parent_holds_the_lock():
+    import catbij
+
+    src = pathlib.Path(catbij.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", FORKS_WHILE_A_THREAD_BUILDS_TREES],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "0\n"
 
 
 def test_enumerate_writes_in_small_chunks(monkeypatch):
