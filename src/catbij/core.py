@@ -711,10 +711,13 @@ class Interval(_Ordered):
     """A ball of the triangular structure: the interval [a, b], 1 <= a <= b.
 
     The hash is computed once, at construction; balls are hashed far more
-    often than they are made.
+    often than they are made.  So is _i = b(b - 1)/2 + a - 1, the ball's
+    index in b-major order, the same in every ambient: the ball lies in
+    ambient n exactly when _i < n(n - 1)/2.  The torsion engine reads a
+    ball's tables at _i.
     """
 
-    __slots__ = ("a", "b", "_hash")
+    __slots__ = ("a", "b", "_hash", "_i")
     __match_args__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
@@ -723,6 +726,7 @@ class Interval(_Ordered):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "_hash", hash((a, b)))
+        _set(self, "_i", b * (b - 1) // 2 + a - 1)
 
     def __hash__(self):
         return self._hash

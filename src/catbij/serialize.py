@@ -150,7 +150,7 @@ def deserialize_young(text: str) -> YoungDiagram:
 def serialize_torsion(tp: TorsionPair) -> str:
     n = check_n(tp.n, "torsion")  # before the tables of n are built
     e = torsion._engine(n)
-    tors, free = (torsion._to_mask(c, n, e.row) for c in (tp.torsion, tp.free))
+    tors, free = (torsion._to_mask(c, n, e.ball_bit) for c in (tp.torsion, tp.free))
     if not torsion._is_pair(tors, free, e):
         raise InvariantError("not a torsion pair (perpendicularity fails)")
     return _torsion_writer(n, True)(tors, free)

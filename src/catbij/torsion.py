@@ -1,34 +1,19 @@
 """Ball structures, Hom tests, torsion classes and their tree bijection.
 
-The ambient-n triangle carries one ball per interval [a, b] with
-1 <= a <= b <= n - 1; the simple balls [a, a] form the bottom row and
-[1, n-1] is the apex.  Hom([a,b], [c,d]) is nonzero exactly when
-a <= c <= b <= d, the interval form of the rectangle-in-zig-zag test; the
-tests calibrate it against the five worked Hom examples.
+For a tree, a left child spanning leaves i..j contributes the torsion balls
+[i+1, j] .. [j, j], a right child spanning i..j the free balls
+[i, i] .. [i, j-1], with the spans read off node_spans; balls over neither
+edge kind belong to neither class.  Back from a class, its column heights
+(_heights) are the tree's column_profile, and the tree, the gapped frame
+and the rectangle split are read off them.
 
-For a tree, the balls sitting on descending edges form the torsion class and
-the balls on ascending edges the torsion-free class: a left child spanning
-leaves i..j contributes torsion balls [i+1, j] .. [j, j], a right child
-spanning i..j contributes free balls [i, i] .. [i, j-1], with the
-children's spans read off node_spans.  Balls over neither edge kind belong
-to neither class.  Back from a class, its column heights (_heights) are the
-tree's column_profile; the tree, the gapped frame and the rectangle
-decomposition are read off them.  Ambient 0 is ordinary: the empty tree has
-no balls and the empty pair.
-
-Two maps are the definitions the rest of the layer is checked against.  A
-pair of ball sets is a torsion pair exactly when torsion_generate gives it
-back from its torsion class, and a RectangleSplit is a decomposition exactly
-when decompose_rectangle gives it back from the class it recomposes to.
-
-Every map here works on ball masks with per-ambient cached tables
-(_engine) and converts once, at the public boundary.  The README's
-paragraph on `verify` suites describes the engine: the byte tables _union
-reads; the memos, kept up to ambient 7 (by core._KEEP), of one closure and
-one pair per quotient-closed seed (720 at ambient 6), of one set per class,
-which the pairs, tree_to_torsion and recompose_rectangle share, and of one
-rectangle split per class; and the two mask layouts, the engine's and the
-shifting one enumeration joins in (_torsion_masks).
+Every map works on the ball masks of the per-ambient _Engine and converts
+once, at the public boundary; the README's paragraph on `verify` suites
+describes the engine's tables and memos.  A ball enters a mask by one read
+of a per-ball list at its Interval._i (_to_mask): ball_bit holds its bit,
+ball_quot its quotient closure.  torsion_generate and complete_torsion_hu
+OR the ball_quot entries of their seed, so the pass that reads the seed
+builds the quotient-closed key of their memos.
 """
 
 from functools import lru_cache
@@ -73,7 +58,7 @@ def perp_right(objs, n: int) -> frozenset:
 def perp_left(objs, n: int) -> frozenset:
     """Balls sending no nonzero Hom to any member of objs."""
     e = _engine(n)
-    return _class_set(e.full & ~_union(_to_mask(objs, n, e.row), e.hom_to), e)
+    return _class_set(e.full & ~_union(_to_mask(objs, n, e.ball_bit), e.hom_to), e)
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +72,22 @@ class _Engine(_Record):
     at bit row[d] + n, and from there on the columns have the layout of
     ambient n - d, labels lowered by d.  ending[b] holds the balls [a, b].
 
-    hom_from, hom_to and quot are byte tables for _union.  The memos are
-    kept while kept is true; otherwise they are None, and a throwaway {}
-    stands in at each call.  sets maps a mask to the frozenset of its balls,
-    one per class.  pairs and closures are keyed by a seed's quotient
-    closure (n! keys, 720 at ambient 6): pairs holds its TorsionPair, made
-    of the sets, and closures its closure under both of
-    complete_torsion_hu's rules.  splits maps a class mask to its
-    RectangleSplit, one per class (catalan(n) keys, 132 at ambient 6)."""
+    ball_bit and ball_quot are lists indexed by Interval._i, the ball's
+    place in b-major order: ball_bit holds the ball's bit, ball_quot its
+    quotient closure, the balls [a', b] with a <= a' <= b.  Their length,
+    n(n - 1)/2, is the ambient check of _to_mask.  hom_from, hom_to and
+    quot are byte tables for _union.  The memos are kept while kept is
+    true; otherwise they are None, and a throwaway {} stands in at each
+    call.  sets maps a mask to the frozenset of its balls, one per class.
+    pairs and closures are keyed by a seed's quotient closure (n! keys, 720
+    at ambient 6): pairs holds its TorsionPair, made of the sets, and
+    closures its closure under both of complete_torsion_hu's rules.  splits
+    maps a class mask to its RectangleSplit, one per class (catalan(n)
+    keys, 132 at ambient 6)."""
 
     __slots__ = __match_args__ = (
-        "balls", "row", "ending", "full", "hom_from", "hom_to", "quot", "ext",
-        "kept", "sets", "pairs", "closures", "splits",
+        "balls", "row", "ending", "full", "ball_bit", "ball_quot",
+        "hom_from", "hom_to", "quot", "ext", "kept", "sets", "pairs", "closures", "splits",
     )
 
     __init__ = _Record._fields
@@ -117,11 +106,13 @@ def _engine(n: int) -> _Engine:
             if x.a <= y.a <= x.b <= y.b:
                 hom_from[i] |= 1 << j
                 hom_to[j] |= 1 << i
-    # quotient closure: everything reachable by repeated lower-right steps
-    quot = [0] * m
+    # quotient closure: everything reachable by repeated lower-right steps;
+    # ball_bit and ball_quot hold each ball's bit and closure at its _i
+    quot, ball_bit, ball_quot = [0] * m, [0] * m, [0] * m
     for i, x in enumerate(balls):
         for a in range(x.a, x.b + 1):
             quot[i] |= 1 << (row[a] + x.b)
+        ball_bit[x._i], ball_quot[x._i] = 1 << i, quot[i]
     # extension table: (i, j, top, bottom) with bottom == -1 for the virtual
     # ball one line below the bottom row
     ext = []
@@ -136,7 +127,7 @@ def _engine(n: int) -> _Engine:
     # that many ball references fit _KEEP
     kept = catalan(n) * n * (n - 1) <= _KEEP
     return _Engine(
-        balls, row, ending, (1 << m) - 1,
+        balls, row, ending, (1 << m) - 1, ball_bit, ball_quot,
         _byte_tables(hom_from), _byte_tables(hom_to), _byte_tables(quot), tuple(ext),
         kept, *(({}, {}, {}, {}) if kept else (None,) * 4),
     )
@@ -154,12 +145,18 @@ def _byte_tables(values):
     return tuple(tables)
 
 
-def _to_mask(objs, n, row):
-    mask = 0
-    for x in objs:
-        if x.b >= n:
+def _to_mask(objs, n, table):
+    """The OR of table[x._i] over the balls x of objs, table being one of
+    the engine's per-ball lists; AmbientMismatchError for the first ball
+    outside ambient n, whose index is past the table's end."""
+    mask, x = 0, None
+    try:
+        for x in objs:
+            mask |= table[x._i]
+    except IndexError:
+        if x is not None:  # None: objs itself raised, before its first ball
             x.check_ambient(n)  # raises, with the ball in its message
-        mask |= 1 << (row[x.a] + x.b)
+        raise
     return mask
 
 
@@ -205,7 +202,7 @@ def torsion_generate(seed, n: int) -> TorsionPair:
     # a quotient [a', b] of [a, b] with nonzero Hom to [c, d] has
     # a <= a' <= c <= b <= d, so [a, b] has it too: a seed and its quotient
     # closure have one perp, and the closure keys e.pairs
-    closed = _union(_to_mask(seed, n, e.row), e.quot)
+    closed = _to_mask(seed, n, e.ball_quot)
     pairs = e.pairs if e.kept else {}
     got = pairs.get(closed)
     if got is None:
@@ -216,7 +213,7 @@ def torsion_generate(seed, n: int) -> TorsionPair:
 
 def is_torsion_class(objs, n: int) -> bool:
     e = _engine(n)
-    mask = _to_mask(objs, n, e.row)
+    mask = _to_mask(objs, n, e.ball_bit)
     return _generate_mask(mask, e)[0] == mask
 
 
@@ -230,11 +227,11 @@ def _extend(closed, ext):
     return grown
 
 
-def _complete_mask(seed_mask, e):
-    # quot holds each ball's transitive lower-right closure, so closed is
-    # closed under that rule, and the closure under both rules depends on
-    # closed alone: e.closures holds it once per quotient-closed mask
-    key = closed = _union(seed_mask, e.quot)
+def _complete_mask(key, e):
+    """The closure under both rules of the quotient-closed mask key: quot
+    holds each ball's transitive lower-right closure, so the closure depends
+    on key alone, and e.closures holds it once per key."""
+    closed = key
     memo = e.closures if e.kept else {}
     got = memo.get(key)
     if got is None:
@@ -254,7 +251,7 @@ def complete_torsion_hu(seed, n: int) -> frozenset:
     A valid rectangle contributes its top corner [a, d].
     """
     e = _engine(n)
-    return _class_set(_complete_mask(_to_mask(seed, n, e.row), e), e)
+    return _class_set(_complete_mask(_to_mask(seed, n, e.ball_quot), e), e)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +292,7 @@ def _heights(mask, n: int) -> list:
 
 def _class_mask(objs, n: int, e: _Engine):
     """The mask of a torsion class; InvariantError for any other set."""
-    mask = _to_mask(objs, n, e.row)
+    mask = _to_mask(objs, n, e.ball_bit)
     if _generate_mask(mask, e)[0] != mask:
         raise InvariantError("input set is not a torsion class")
     return mask
@@ -423,8 +420,8 @@ def recompose_rectangle(split: RectangleSplit, n: int) -> frozenset:
     shift = split.skipped + split.width
     if not 0 <= shift <= n:
         raise InvariantError("split is not a rectangle decomposition")
-    right = _to_mask(split.right, n - shift, _engine(n - shift).row)
-    pieces = _to_mask(split.left | split.rectangle, n, e.row) | right << (e.row[shift] + n)
+    right = _to_mask(split.right, n - shift, _engine(n - shift).ball_bit)
+    pieces = _to_mask(split.left | split.rectangle, n, e.ball_bit) | right << (e.row[shift] + n)
     mask = _tree_masks(tree_from_profile(_heights(pieces, n)), e)[0]  # a class: a tree's
     if _split(mask, n, e) != split:
         raise InvariantError("split is not a rectangle decomposition")

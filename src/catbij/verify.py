@@ -270,8 +270,9 @@ SUITES = {
 }
 SUITES["all"] = tuple(group for groups in SUITES.values() for group in groups)
 
-# every group, the longest first: at n_max 7 they take about 68, 59, 46, 43,
-# 22, 20, 9 and 4 ms cold, 38, 30, 30, 22, 12, 11, 8 and 3 ms warm
+# every group, the longest first: at n_max 7 they take about 50, 48, 46, 49,
+# 22, 13, 12 and 4 ms cold, 42, 33, 33, 20, 13, 12, 8 and 3 ms warm (best of
+# 8 fresh processes; _torsion and _commutativity are level cold)
 _LONGEST_FIRST = (
     _shelves, _perms, _commutativity, _torsion, _tree_torsion, _paths, _tree_dyck,
     _tamari_clamped,

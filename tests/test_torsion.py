@@ -29,6 +29,7 @@ from catbij import (
     perp_right,
     RectangleSplit,
     recompose_rectangle,
+    TorsionPair,
     right_comb,
     torsion_generate,
     torsion_to_gapped_young,
@@ -36,7 +37,8 @@ from catbij import (
     tree_to_torsion,
     bookshelf_gapped,
 )
-from catbij.torsion import _engine, _union
+from catbij.serialize import serialize_torsion
+from catbij.torsion import _engine, _to_mask, _union
 
 
 def I(a, b):
@@ -86,16 +88,88 @@ def test_hom_ambient_mismatch():
         hom_nonzero(I(1, 5), I(1, 1), 4)
 
 
+def serialize_unchecked(objs, n):
+    """serialize_torsion of a pair holding objs, built past the
+    constructor's ambient check."""
+    pair = object.__new__(TorsionPair)
+    for name, value in zip(TorsionPair.__match_args__, (frozenset(objs), frozenset(), n)):
+        object.__setattr__(pair, name, value)
+    return serialize_torsion(pair)
+
+
 @pytest.mark.parametrize(
     "call",
-    [complete_torsion_hu, torsion_generate, perp_right, perp_left, is_torsion_class],
+    [
+        complete_torsion_hu, torsion_generate, perp_right, perp_left, is_torsion_class,
+        torsion_to_tree, torsion_to_gapped_young, decompose_rectangle, serialize_unchecked,
+    ],
     ids=lambda f: f.__name__,
 )
-@pytest.mark.parametrize("ball", [(2, 5), (5, 5), (1, 9)], ids=lambda b: f"{b[0]}_{b[1]}")
+@pytest.mark.parametrize(
+    "ball", [(2, 5), (5, 5), (1, 9), (1, 10**18)], ids=lambda b: f"{b[0]}_{b[1]}"
+)
 def test_ball_outside_the_ambient_is_refused(call, ball):
-    # after a ball inside the ambient, so the refusal is not of the first
+    # after a ball inside the ambient, so the refusal is not of the first;
+    # a ball whose index is far past any table is refused as soon
     with pytest.raises(AmbientMismatchError, match=rf"^\[{ball[0]}, {ball[1]}\] outside ambient 5$"):
         call((I(1, 1), I(*ball)), 5)
+
+
+def test_an_index_error_of_the_seed_itself_is_not_an_ambient_error():
+    balls = sorted(all_balls(5))
+    for picks in ([99], [0, 99], [0, 9, 99]):  # before, after an inside ball
+        with pytest.raises(IndexError):
+            torsion_generate((balls[i] for i in picks), 5)
+
+
+def test_a_pair_with_an_outside_ball_is_not_built():
+    with pytest.raises(AmbientMismatchError, match=r"^\[1, 1000000000000000000\] outside ambient 5$"):
+        TorsionPair(iset((1, 1), (1, 10**18)), frozenset(), 5)
+
+
+def test_ball_tables_are_the_ball_bits_and_quotient_closures():
+    # the engine's bit i is the i-th ball in sorted order, and Interval._i
+    # the ball's place in (b, a) order; both are recomputed here
+    for n in range(13):
+        pairs = [(a, b) for a in range(1, n) for b in range(a, n)]
+        bit = {p: 1 << i for i, p in enumerate(sorted(pairs))}
+        place = {p: i for i, p in enumerate(sorted(pairs, key=lambda p: (p[1], p[0])))}
+        row = [(a - 1) * n - a * (a + 1) // 2 for a in range(n + 1)]
+        e = _engine(n)
+        assert len(e.ball_bit) == len(e.ball_quot) == len(pairs)
+        for a, b in pairs:
+            x = I(a, b)
+            assert x._i == place[a, b]
+            assert bit[a, b] == 1 << (row[a] + b)
+            assert _to_mask([x], n, e.ball_bit) == bit[a, b]
+            quotients = 0
+            for a2 in range(a, b + 1):
+                quotients |= bit[a2, b]
+            assert _to_mask([x], n, e.ball_quot) == quotients
+
+
+def perpendicular_pair(seed, n):
+    """(torsion, free) generated by seed, from hom_nonzero alone."""
+    balls = all_balls(n)
+    free = frozenset(y for y in balls if not any(hom_nonzero(x, y, n) for x in seed))
+    tors = frozenset(z for z in balls if not any(hom_nonzero(z, y, n) for y in free))
+    return tors, free
+
+
+def test_generate_matches_the_perpendicular_pair_for_any_seed_container():
+    import random
+
+    n = 6
+    balls = sorted(all_balls(n))
+    rng = random.Random(2506)
+    for _ in range(200):
+        seed = rng.sample(balls, rng.randint(0, len(balls)))
+        want = perpendicular_pair(seed, n)
+        # a tuple, a list with duplicates, a frozenset and a generator
+        for given in (tuple, lambda s: s + s[::2], frozenset, lambda s: (x for x in s)):
+            pair = torsion_generate(given(seed), n)
+            assert (pair.torsion, pair.free) == want
+            assert complete_torsion_hu(given(seed), n) == want[0]
 
 
 def test_labeled_torsion_pair_validates():
