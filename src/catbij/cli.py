@@ -2,10 +2,10 @@
 
 Verbs: enumerate, convert, verify, render, chains, lattice.  Enumeration
 writes one JSON document per line in canonical order: the runs of
-serialize.enumeration_runs as UTF-8 bytes, each run one join, or torsion's
-enumeration_lines.  Conversion routes everything through the binary tree
-hub, by the _FAMILY table.  Exit codes: 0 success, 1 usage or
-input error (a closed stdout included), 2 verification failure.
+serialize.enumeration_runs as UTF-8 bytes, each run one join.  Conversion
+routes everything through the binary tree hub, by the _FAMILY table.  Exit
+codes: 0 success, 1 usage or input error (a closed stdout included), 2
+verification failure.
 
 Every refusal is a CatbijError, printed by main as one `error:` line.  The
 parser declares the choices and the documented --n bounds: 0..12 for every
@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 
 from . import baseball, dyck, render, serialize, tamari, torsion, verify
 from .bookshelf import bookshelf, inverse_bookshelf
@@ -113,10 +112,10 @@ def _check_paren(family: str, fmt: str):
 
 def _write_runs(runs):
     """Write each object of runs (core._runs), UTF-8 bytes, on a line of
-    the stdout buffer: up to 1,024 lines a write, each run or each 1,024
-    lines of it one join."""
+    the stdout buffer, each run or each 1,024 lines of it one join: a write
+    ends at 1,024 lines or after the join that brings it to 32 KiB."""
     write = sys.stdout.buffer.write
-    pieces, room = [], 1024
+    pieces, room, size = [], 1024, 0
     for head, middles, tail in runs:
         end = tail + b"\n"
         sep = end + head
@@ -126,21 +125,16 @@ def _write_runs(runs):
             pieces += head, sep.join(block), end
             i += len(block)
             room -= len(block)
-            if not room:
+            size += len(pieces[-2])
+            if not room or size >= 1 << 15:
                 write(b"".join(pieces))
-                pieces, room = [], 1024
+                pieces, room, size = [], 1024, 0
     write(b"".join(pieces))
 
 
 def cmd_enumerate(args) -> int:
     _check_paren(args.family, args.format)
-    if args.family == "torsion":
-        # a torsion line is read off its masks alone; 256 lines keep a
-        # chunk small, as they are long (about 400 characters at n = 12)
-        lines = serialize.enumeration_lines("torsion", args.n)
-        while chunk := list(islice(lines, 256)):
-            sys.stdout.write("\n".join(chunk) + "\n")
-    elif args.format == "paren":
+    if args.format == "paren":
         _write_runs(_parens(args.n, b""))
     else:
         _write_runs(serialize.enumeration_runs(args.family, args.n))

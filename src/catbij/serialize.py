@@ -18,17 +18,16 @@ serialize_torsion writes from those masks; both refuse a non-pair by
 torsion._is_pair.  Ambient 0 has the one pair with no balls.
 
 Writing skips json.dumps: quoted and int_array write what it writes, and
-torsion text has one writer, _torsion_writer(n).  enumeration_lines streams
-the documents of a whole enumeration: core's enumerators spell the tree,
-Dyck, Young and 213-avoider documents as runs of JSON text pieces
-(enumeration_runs, in str or UTF-8 bytes), and torsion documents come from
-that writer on the masks of the trees' split tables, so no object is
-built, checked or formatted per line.
+torsion text has one writer, _torsion_writer(n).  enumeration_runs streams a
+whole enumeration as runs of JSON text pieces, in str or UTF-8 bytes: core's
+enumerators spell the tree, Dyck, Young and 213-avoider documents, and a
+torsion run is 256 documents from that writer on the masks of the trees'
+split tables, so no object is built, checked or formatted per line.
 """
 
 import json
 from functools import lru_cache
-from itertools import starmap
+from itertools import islice, starmap
 
 from . import torsion
 from .core import (
@@ -253,29 +252,33 @@ def _spell(code, start, close):
     return code(start), lambda v: code(str(v)), lambda v: code(", " + str(v)), code(close)
 
 
+def _torsion_runs(n, code):
+    """Runs (core._runs) of the torsion documents of ambient n, 256 a run."""
+    docs = starmap(_torsion_writer(n), torsion._torsion_masks(n))
+    while block := list(map(code, islice(docs, 256))):
+        yield code(""), block, code("")
+
+
 _RUNS = {  # family: the runs (core._runs) of its documents at size n, each piece code(text)
     "tree": lambda n, code: _parens(n, code('"')),
     "dyck": lambda n, code: _dyck_words(n, code('"')),
     "young": lambda n, code: _young_rows(n, _spell(code, f'{{"n": {n}, "rows": [', "]}")),
     "perm213": lambda n, code: _perms213(n, _spell(code, "[", "]")),
+    "torsion": _torsion_runs,
 }
 
 
 def enumeration_runs(family: str, n: int, code=str.encode):
-    """The documents of enumeration_lines(family, n), for a family other
-    than torsion, as runs (head, middles, tail): each is head + m + tail for
-    each m of middles (core._runs).  Every piece is code(text), UTF-8 bytes
-    by default; n is not checked."""
+    """The documents of enumeration_lines(family, n) as runs (head,
+    middles, tail): each is head + m + tail for each m of middles
+    (core._runs).  Every piece is code(text), UTF-8 bytes by default; n is
+    not checked."""
     if family not in _RUNS:
-        raise InvariantError(f"no runs for family {family!r}")
+        raise InvariantError(f"unknown family {family!r}")
     return _RUNS[family](n, code)
 
 
 def enumeration_lines(family: str, n: int):
     """For every object of family at size n, in enumeration order, the
     document its serialize_* writes; n is not checked."""
-    if family == "torsion":
-        return starmap(_torsion_writer(n), torsion._torsion_masks(n))
-    if family not in _RUNS:
-        raise InvariantError(f"unknown family {family!r}")
     return _lines(enumeration_runs(family, n, str))

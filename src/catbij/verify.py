@@ -365,8 +365,9 @@ def _run(groups, n_max):
 
 def run_suite(suite: str, n_max: int) -> dict:
     """The report of suite up to n_max, the documented 2..9: below 2 some
-    check sees no object, above 9 the sweep runs for minutes.  Its check
-    groups run on the CPUs this process may use (_run)."""
+    check sees no object; verify all took 1.79 s at 9 and 6.35-7.04 s at 10
+    on 2 CPUs, 12.7 s serially (ROADMAP item 7).  Its check groups run on
+    the CPUs this process may use (_run)."""
     if suite not in SUITES:
         raise InvariantError(f"unknown suite {suite!r}")
     if not 2 <= n_max <= 9:

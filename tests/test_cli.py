@@ -92,13 +92,14 @@ def test_enumerate_lines_are_the_serialized_validated_objects(capsys, family):
             assert out.splitlines() == list(enumerate_parens(n))
 
 
-# the sha256 of each verb's stdout at its bound, as bench/workloads.py DIGESTS
-# pins them
+# the sha256 of each family's stdout at n = 12; bench/workloads.py DIGESTS
+# pins the first four, and torsion at its bench bound of n = 8
 N12_DIGESTS = {
     "tree": "64e3d89a9f790aa80272af1e870c3463f3e1f8d21cc3cc3b475d601394f141a2",
     "dyck": "51e8fd5d6ddb9c040bcec3ac274eafc9a9126c845199001c856cc6a76d4eac45",
     "young": "b76894c96bc833fb992f5930f332938bcc4041951f413708b69d60464532b954",
     "perm213": "81aef49f277ca0e17ca3a2f4e2a6d1a46113b250a6c5c1e7a80b8460d74958a0",
+    "torsion": "3b7031ab408722aa5ce9f2a8f44abf37b08aaeedd23216d1784a9b7ba41dcf87",
 }
 
 
@@ -672,14 +673,23 @@ def test_a_forked_child_can_build_trees_while_the_parent_holds_the_lock():
 
 
 def test_enumerate_writes_in_small_chunks(monkeypatch):
-    # torsion lines at n = 10 are about 300 characters; chunks of 4,096 of
-    # them, each held at once as the list, the joined text and its copy,
-    # peaked at 5.5 MB
-    class Discard:
-        def write(self, text):
-            return len(text)
+    # torsion lines at n = 10 are about 300 bytes, so each run of 256 passes
+    # 32 KiB and is a write of its own; chunks of 4,096 lines peaked at
+    # 5.5 MB.  No line goes through the text layer.
+    lines = []
 
-    monkeypatch.setattr(sys, "stdout", Discard())
+    class Discard:
+        def write(self, data):
+            lines.append(data.count(b"\n"))
+            return len(data)
+
+    class BytesOnly:
+        buffer = Discard()
+
+        def write(self, text):
+            raise AssertionError("a line went through the text layer")
+
+    monkeypatch.setattr(sys, "stdout", BytesOnly())
     tracemalloc.start()
     try:
         assert main(["enumerate", "torsion", "--n", "10"]) == 0
@@ -687,6 +697,7 @@ def test_enumerate_writes_in_small_chunks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2_500_000
+    assert sum(lines) == 16_796 and max(lines) == 256
 
 
 def test_chains(capsys):
@@ -838,15 +849,25 @@ def test_render_out_to_an_unwritable_path(capsys, tmp_path, where):
     assert err.startswith("error: cannot write")
 
 
-def test_closed_pipe_exits_1_without_a_traceback():
+# the start of the first line of each family at n = 10
+FIRST_AT_10 = {
+    "tree": '"(•(•(•(•(•(•(•(•(•(••))))))))))"\n'.encode(),
+    "torsion": b'{"n": 10, "torsion": [], "free": [[1, 1], ',
+}
+
+
+@pytest.mark.parametrize("family", FIRST_AT_10)
+def test_closed_pipe_exits_1_without_a_traceback(family):
     import catbij
 
     src = pathlib.Path(catbij.__file__).resolve().parent.parent
-    argv = [sys.executable, "-m", "catbij.cli", "enumerate", "tree", "--n", "10"]
+    argv = [sys.executable, "-m", "catbij.cli", "enumerate", family, "--n", "10"]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    # the first line, then the pipe closes with about 0.9 MB still to write
-    assert proc.stdout.readline() == '"(•(•(•(•(•(•(•(•(•(••))))))))))"\n'.encode()
+    # the start of the first line, then the pipe closes with most of the
+    # output (0.9 MB of trees, 4.9 MB of torsion pairs) still to write
+    first = FIRST_AT_10[family]
+    assert proc.stdout.read(len(first)) == first
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
