@@ -29,6 +29,8 @@ test "$(catbij enumerate tree --n 2 --format paren)" = "$(printf '(•(••))\
 catbij enumerate perm213 --n 12 2> err.txt | head -n 1 > first.txt
 test "$(cat first.txt)" = "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]"
 test ! -s err.txt
+# 786d698a... pins the paren route (tests/test_cli.py N12_DIGESTS["paren"])
+catbij enumerate tree --n 12 --format paren | sha256sum | grep -q '^786d698abd138de4'
 # 3b7031ab... is the pinned digest of this output (tests/test_cli.py N12_DIGESTS)
 catbij enumerate torsion --n 12 | sha256sum | grep -q '^3b7031ab408722aa'
 catbij enumerate torsion --n 12 2> err.txt | head -n 1 > /dev/null

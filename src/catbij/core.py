@@ -5,25 +5,15 @@ the pivot object; the other families (Dyck paths, staircase Young diagrams,
 gapped Young diagrams, torsion pairs on interval balls, 213-avoiding
 permutations) are converted through them by the sibling modules.
 
-Trees are drawn root at the top, left child down-left, right child down-right,
-with every edge stretched so that all leaves sit on the bottom level.  In that
-drawing an internal node whose subtree spans leaves i..j (0-indexed, left to
-right) of a size-n tree sits at coordinate (n - j, i), where the first entry
-counts steps along the left root axis and the second along the right.
-Every bijection out of a tree reads its family off one walk, node_spans,
-made once per tree and kept on it.
+Trees follow the README's drawing and coordinates; every bijection out of a
+tree reads its family off one walk, node_spans, made once per tree and kept
+on it.  Trees are immutable and share subtrees freely.
 
-The enumerators of trees, Dyck words, staircase rows and 213-avoiders yield
-runs (head, middles, tail): the objects head + m + tail for each m of
-middles, an entry of a table of smaller objects made bottom-up with loops.
-No object of size n is kept, nor of a smaller size too large to keep
-(_entry): its runs come from its root splits instead (_runs).  Tuples, str
-and bytes all concatenate with +, so the same code makes the library's
-lists (tuple or str pieces, one join per object) and the CLI's JSON lines
-(UTF-8 pieces via serialize, one join per run).  Trees are immutable and
-share subtrees freely.
+Text enumerations are runs (_runs) of UTF-8 bytes, the one spelling: the
+CLI writes them, and enumerate_parens and enumerate_dyck decode them.  The
+same code joins the tuples of enumerate_young and enumerate_perms213.
 
-The value types here, Shelf, RectangleSplit and TamariPoset are _Records:
+The value types here and Shelf, RectangleSplit and TamariPoset are _Records:
 slotted fields named by __match_args__, set by an __init__ that makes the
 type's checks.  The base behaves as a frozen dataclass: equality and hash
 on the field tuple within one class, the Name(field=value, ...) repr,
@@ -32,8 +22,6 @@ FrozenInstanceError on assignment, copy and pickle through __init__, and
 dataclasses, whose import and methods took 18 of the 24 ms of CLI start.
 """
 
-import os
-from _thread import allocate_lock
 from math import comb
 from operator import attrgetter, ge, gt, le, lt
 
@@ -352,50 +340,33 @@ def _tables(n: int, leaf, rows) -> list:
     return table
 
 
-_TREES = [(LEAF,)]  # _TREES[m] is enumerate_trees(m), built once
-_TREES_LOCK = allocate_lock()
-
-
-def _free_trees_lock():
-    """A forked child starts with a free lock, since the thread that may hold
-    the parent's is not in the child to release it.  _TREES is whole there:
-    each size goes in by one append."""
-    global _TREES_LOCK
-    _TREES_LOCK = allocate_lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_free_trees_lock)
+_TREES = {0: (LEAF,)}  # _TREES[m] is enumerate_trees(m), built once
 
 
 def enumerate_trees(n: int) -> tuple:
     """All full binary trees with n internal nodes, canonical order.
 
     Canonical order: split sizes (i, n-1-i) with i ascending, then the left
-    subtree varying slowest.  Each size is built once, by a loop over the
-    smaller sizes, so subtrees are shared between entries and calls.
+    subtree varying slowest.  Each size is built by a loop over the stored
+    smaller sizes, so subtrees are shared between entries and calls, and is
+    stored by one setdefault: threads that build a size at once all get the
+    tuple stored first.
     """
     _size(n)
-    with _TREES_LOCK:
-        for m in range(len(_TREES), n + 1):
-            _TREES.append(tuple(Node(l, r) for _, l, rights in _splits(_TREES, m) for r in rights))
+    for m in range(len(_TREES), n + 1):
+        _TREES.setdefault(m, tuple(Node(l, r) for _, l, rights in _splits(_TREES, m) for r in rights))
     return _TREES[n]
 
 
 # A spelling (open, first, after, close) writes a sequence of ints v1, v2,
 # ..., vk as open + first(v1) + after(v2) + ... + after(vk) + close.  The
-# pieces are all str, all bytes or all tuples.
+# pieces are all UTF-8 bytes or all tuples.
 
 def _one(v):
     return (v,)
 
 
 _TUPLES = ((), _one, _one, ())
-
-
-def _spelled(quote, *texts):
-    """texts, as UTF-8 bytes if quote is bytes."""
-    return texts if isinstance(quote, str) else [t.encode() for t in texts]
 
 
 def _runs(head, entry, tail):
@@ -436,10 +407,10 @@ def _lines(runs):
     return (head + m + tail for head, middles, tail in runs for m in middles)
 
 
-def _parens(n: int, quote):
+def _parens(n: int, quote: bytes):
     """Runs (see _runs) of to_paren of every tree of enumerate_trees(n), in
-    the same order, each between two quotes; in UTF-8 if quote is bytes."""
-    open_, leaf, close = _spelled(quote, "(", "•", ")")
+    the same order and in UTF-8, each between two quotes."""
+    open_, leaf, close = b"(", "•".encode(), b")"
     table = [(leaf,)]
     for m in range(1, n + 1):  # size n is never kept
         splits = [(open_, table[i], table[m - 1 - i], close) for i in range(m)]
@@ -448,19 +419,15 @@ def _parens(n: int, quote):
 
 
 def enumerate_parens(n: int):
-    """to_paren of every tree of enumerate_trees(n), in the same order.
-
-    The strings are joined by the same root split, from the strings of the
-    smaller sizes, so no tree is built or walked.  Those of size n, and of
-    size 11 at n = 12 (_entry), are not kept: each is one join of a run's
-    pieces (_runs).
-    """
-    return _lines(_parens(_size(n), ""))
+    """to_paren of every tree of enumerate_trees(n), in the same order: the
+    UTF-8 lines of the CLI's paren route, decoded, so no tree is built or
+    walked."""
+    return map(bytes.decode, _lines(_parens(_size(n), b"")))
 
 
-def _dyck_words(n: int, quote):
+def _dyck_words(n: int, quote: bytes):
     """Runs (see _runs) of the Dyck words of semilength n, lexicographic
-    with U before R, each between two quotes; in bytes if quote is.
+    with U before R, in bytes, each between two quotes.
 
     Meet in the middle: a word is a ballot prefix of n steps, ending at some
     height h, then n steps that fall from h to 0 without going below it.
@@ -468,7 +435,7 @@ def _dyck_words(n: int, quote):
     falls from its height in lexicographic order; no table holds more than
     binom(n, n // 2) words.
     """
-    up, right = _spelled(quote, "U", "R")
+    up, right = b"U", b"R"
     heads = [(quote, 0)]  # the ballot prefixes of length m and their heights
     falls = [[quote]]  # falls[h]: the words of length m falling from h to 0
     for _ in range(n):
@@ -476,13 +443,12 @@ def _dyck_words(n: int, quote):
         ups = falls[1:] + [[], []]  # ups[h] = falls[h + 1]
         downs = [[]] + falls  # downs[h] = falls[h - 1]
         falls = [[up + w for w in u] + [right + w for w in d] for u, d in zip(ups, downs)]
-    empty = quote[:0]
-    return ((w, falls[h], empty) for w, h in heads)
+    return ((w, falls[h], b"") for w, h in heads)
 
 
 def enumerate_dyck(n: int) -> list:
     """All Dyck words of semilength n, lexicographic with U before R."""
-    return list(_lines(_dyck_words(_size(n), "")))
+    return list(map(bytes.decode, _lines(_dyck_words(_size(n), b""))))
 
 
 def _young_rows(n: int, spell):
@@ -534,7 +500,7 @@ def _perms213(n: int, spell):
     """
     start, first, after, close = spell
     after = [after(v) for v in range(n + 1)]
-    empty = start[:0]  # "", b"" or ()
+    empty = start[:0]  # b"" or ()
     table = [((empty,),) * (n + 1)]  # table[0][shift]: the empty permutation
 
     def splits(s, shift):

@@ -19,10 +19,10 @@ torsion._is_pair.  Ambient 0 has the one pair with no balls.
 
 Writing skips json.dumps: quoted and int_array write what it writes, and
 torsion text has one writer, _torsion_writer(n).  enumeration_runs streams a
-whole enumeration as runs of JSON text pieces, in str or UTF-8 bytes: core's
-enumerators spell the tree, Dyck, Young and 213-avoider documents, and a
-torsion run is 256 documents from that writer on the masks of the trees'
-split tables, so no object is built, checked or formatted per line.
+whole enumeration as runs of UTF-8 JSON pieces: core's enumerators spell the
+tree, Dyck, Young and 213-avoider documents, and a torsion run is 256
+documents from that writer on the masks of the trees' split tables, so no
+object is built, checked or formatted per line.
 """
 
 import json
@@ -246,39 +246,37 @@ def _torsion_writer(n: int, engine: bool = False):
     return write
 
 
-def _spell(code, start, close):
-    """The spelling (see core) of an int array between start and close,
-    every piece code(text)."""
-    return code(start), lambda v: code(str(v)), lambda v: code(", " + str(v)), code(close)
+def _spell(start, close):
+    """The spelling (see core) of an int array between start and close."""
+    return start.encode(), lambda v: b"%d" % v, lambda v: b", %d" % v, close.encode()
 
 
-def _torsion_runs(n, code):
+def _torsion_runs(n):
     """Runs (core._runs) of the torsion documents of ambient n, 256 a run."""
     docs = starmap(_torsion_writer(n), torsion._torsion_masks(n))
-    while block := list(map(code, islice(docs, 256))):
-        yield code(""), block, code("")
+    while block := list(map(str.encode, islice(docs, 256))):
+        yield b"", block, b""
 
 
-_RUNS = {  # family: the runs (core._runs) of its documents at size n, each piece code(text)
-    "tree": lambda n, code: _parens(n, code('"')),
-    "dyck": lambda n, code: _dyck_words(n, code('"')),
-    "young": lambda n, code: _young_rows(n, _spell(code, f'{{"n": {n}, "rows": [', "]}")),
-    "perm213": lambda n, code: _perms213(n, _spell(code, "[", "]")),
+_RUNS = {  # family: the runs (core._runs) of its documents at size n
+    "tree": lambda n: _parens(n, b'"'),
+    "dyck": lambda n: _dyck_words(n, b'"'),
+    "young": lambda n: _young_rows(n, _spell(f'{{"n": {n}, "rows": [', "]}")),
+    "perm213": lambda n: _perms213(n, _spell("[", "]")),
     "torsion": _torsion_runs,
 }
 
 
-def enumeration_runs(family: str, n: int, code=str.encode):
+def enumeration_runs(family: str, n: int):
     """The documents of enumeration_lines(family, n) as runs (head,
-    middles, tail): each is head + m + tail for each m of middles
-    (core._runs).  Every piece is code(text), UTF-8 bytes by default; n is
-    not checked."""
+    middles, tail) of UTF-8 bytes: each is head + m + tail for each m of
+    middles (core._runs); n is not checked."""
     if family not in _RUNS:
         raise InvariantError(f"unknown family {family!r}")
-    return _RUNS[family](n, code)
+    return _RUNS[family](n)
 
 
 def enumeration_lines(family: str, n: int):
     """For every object of family at size n, in enumeration order, the
     document its serialize_* writes; n is not checked."""
-    return _lines(enumeration_runs(family, n, str))
+    return map(bytes.decode, _lines(enumeration_runs(family, n)))

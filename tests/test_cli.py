@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from catbij import (
     TorsionPair,
     YoungDiagram,
     bookshelf_gapped,
+    catalan,
     dyck,
     right_comb,
     tamari,
@@ -93,19 +95,24 @@ def test_enumerate_lines_are_the_serialized_validated_objects(capsys, family):
 
 
 # the sha256 of each family's stdout at n = 12; bench/workloads.py DIGESTS
-# pins the first four, and torsion at its bench bound of n = 8
+# pins the first four, and torsion at its bench bound of n = 8; "paren" is
+# enumerate tree --format paren, the empty-quote case of core._parens
 N12_DIGESTS = {
     "tree": "64e3d89a9f790aa80272af1e870c3463f3e1f8d21cc3cc3b475d601394f141a2",
     "dyck": "51e8fd5d6ddb9c040bcec3ac274eafc9a9126c845199001c856cc6a76d4eac45",
     "young": "b76894c96bc833fb992f5930f332938bcc4041951f413708b69d60464532b954",
     "perm213": "81aef49f277ca0e17ca3a2f4e2a6d1a46113b250a6c5c1e7a80b8460d74958a0",
     "torsion": "3b7031ab408722aa5ce9f2a8f44abf37b08aaeedd23216d1784a9b7ba41dcf87",
+    "paren": "786d698abd138de4e44bd5141ec034ba1c3f6a53102ac8b0e076f6bba9fea68a",
 }
 
 
 @pytest.mark.parametrize("family", N12_DIGESTS)
 def test_enumerate_n12_prints_the_pinned_bytes(capsysbinary, family):
-    assert main(["enumerate", family, "--n", "12"]) == 0
+    argv = ["enumerate", family, "--n", "12"]
+    if family == "paren":
+        argv[1:2] = ["tree", "--format", "paren"]
+    assert main(argv) == 0
     out = capsysbinary.readouterr().out
     assert out.count(b"\n") == 208_012
     assert hashlib.sha256(out).hexdigest() == N12_DIGESTS[family]
@@ -634,23 +641,60 @@ def test_run_suite_forks_no_child_while_another_thread_is_alive(monkeypatch):
     assert json.loads(proc.stdout) == {"forks": 0, "report": want}
 
 
+def test_threads_building_trees_at_once_all_get_the_stored_tuples(monkeypatch):
+    from catbij import core
+
+    monkeypatch.setattr(core, "_TREES", {0: (core.LEAF,)})
+    sizes = range(10)
+    start = threading.Barrier(8)
+    got = []
+
+    def build(order):
+        start.wait()
+        got.append({n: core.enumerate_trees(n) for n in order})
+
+    # half the threads build the sizes one at a time, half all at once
+    threads = [threading.Thread(target=build, args=(sizes[::-1] if k % 2 else sizes,))
+               for k in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(old)
+    stored = core._TREES
+    assert sorted(stored) == list(sizes) and len(got) == 8
+    for n in sizes:  # each size is stored once: every thread got its tuple
+        assert len(stored[n]) == catalan(n)
+        assert all(g[n] is stored[n] for g in got)
+    kept = {id(t) for trees in stored.values() for t in trees}
+    for trees in stored.values():  # built from the stored smaller sizes
+        assert all(id(t.left) in kept and id(t.right) in kept for t in trees if t.size)
+
+
 FORKS_WHILE_A_THREAD_BUILDS_TREES = """
 import os, signal, threading
 from catbij import core
 
-held, stop = threading.Event(), threading.Event()
+inside, stop = threading.Event(), threading.Event()
+splits = core._splits
 
-def hold():
-    with core._TREES_LOCK:
-        held.set()
+def waiting(table, n):
+    if threading.current_thread() is thread:
+        inside.set()
         stop.wait()
+    return splits(table, n)
 
-thread = threading.Thread(target=hold)
+core._splits = waiting
+thread = threading.Thread(target=core.enumerate_trees, args=(6,))
 thread.start()
-held.wait()
+inside.wait()
 pid = os.fork()
 if pid == 0:
-    signal.alarm(30)  # a child stuck on the lock ends here, not never
+    signal.alarm(30)  # a child stuck in enumerate_trees ends here, not never
     os._exit(0 if len(core.enumerate_trees(6)) == 132 else 1)
 _, status = os.waitpid(pid, 0)
 stop.set()
@@ -660,16 +704,25 @@ print(status)
 
 
 @needs_fork
-def test_a_forked_child_can_build_trees_while_the_parent_holds_the_lock():
+def test_a_child_forked_while_a_thread_builds_trees_can_build_them():
     import catbij
 
     src = pathlib.Path(catbij.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
+    proc = subprocess.run(  # -W ignore: 3.12 warns of a fork with a live thread
         [sys.executable, "-W", "ignore", "-c", FORKS_WHILE_A_THREAD_BUILDS_TREES],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout == "0\n"
+
+
+def test_every_group_of_all_is_queued_once():
+    # _run queues only the groups of _LONGEST_FIRST; one left out would run
+    # alone in the caller after the queue drains
+    import catbij.verify as v
+
+    assert sorted(map(id, v._LONGEST_FIRST)) == sorted(map(id, v.SUITES["all"]))
+    assert len(set(v.SUITES["all"])) == len(v.SUITES["all"])
 
 
 def test_enumerate_writes_in_small_chunks(monkeypatch):
