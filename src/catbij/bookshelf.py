@@ -91,12 +91,9 @@ def bookshelf_gapped(t: BinaryTree) -> GappedYoungDiagram:
 def push_gaps(g: GappedYoungDiagram) -> YoungDiagram:
     """Left-justify every row of cells.  YoungDiagram rejects a result that
     is not a partition."""
-    counts = {}
+    rows = [0] * g.n
     for (row, _) in g.boxes:
-        counts[row] = counts.get(row, 0) + 1
-    rows = []
-    for row in range(1, g.n + 1):
-        rows.append(counts.get(row, 0))
+        rows[row - 1] += 1
     while rows and rows[-1] == 0:
         rows.pop()
     return YoungDiagram(tuple(rows), g.n)

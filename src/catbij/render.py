@@ -1,6 +1,7 @@
 """Deterministic text, SVG and DOT renderers.
 
-Fixed palette: blue for descending edges and torsion
+Node positions come from core.node_coordinates and the ball triangle from
+torsion.all_balls.  Fixed palette: blue for descending edges and torsion
 balls, red for ascending edges and torsion-free balls, gray for boxes.
 Output is byte-identical across runs for identical input.
 """
@@ -8,13 +9,13 @@ Output is byte-identical across runs for identical input.
 from .baseball import BASEBALL, classify_balls, tree_to_perm
 from .core import (
     BinaryTree,
-    Interval,
     TorsionPair,
     YoungDiagram,
-    node_spans,
+    node_coordinates,
     size,
 )
 from .tamari import hasse
+from .torsion import all_balls
 
 BLUE = "#6688dd"
 RED = "#dd6666"
@@ -25,16 +26,10 @@ _CELL = "□"  # white square
 
 def _edges(t: BinaryTree) -> list:
     """(parent, child, right) for each edge of the stretched drawing of t,
-    as (x, y) coordinates, in preorder of the child: node (i, m, j) of
-    node_spans sits at (n - j, i), its children at (n - m, i) and
-    (n - j, m + 1), and preorder sorts the child spans (a, b) by (a, -b)."""
-    n = size(t)
-    edges = []
-    for i, m, j in node_spans(t):
-        edges.append(((i, -m), (n - j, i), (n - m, i), False))
-        edges.append(((m + 1, -j), (n - j, i), (n - j, m + 1), True))
-    edges.sort()
-    return [edge[1:] for edge in edges]
+    as (x, y) coordinates, in preorder of the child: sorted paths over
+    {'L', 'R'} are in preorder, since 'L' < 'R' and a prefix sorts first."""
+    at = {path: (c.x, c.y) for path, c in node_coordinates(t).items()}
+    return [(at[path[:-1]], at[path], path[-1] == "R") for path in sorted(at) if path]
 
 
 def render_tree_ascii(t: BinaryTree) -> str:
@@ -82,19 +77,17 @@ def render_torsion_svg(pair: TorsionPair) -> str:
     n = pair.n
     scale, pad, r = 40, 30, 14
     body = []
-    for a in range(1, n):
-        for b in range(a, n):
-            x, y = _ball_center(a, b, n, scale, pad)
-            ball = Interval(a, b)
-            fill = BLUE if ball in pair.torsion else RED if ball in pair.free else "none"
-            body.append(
-                f'<circle cx="{x}" cy="{y}" r="{r}" fill="{fill}" '
-                'stroke="black" stroke-width="1"/>'
-            )
-            body.append(
-                f'<text x="{x}" y="{y + 4}" font-size="10" text-anchor="middle">'
-                f"{a},{b}</text>"
-            )
+    for ball in sorted(all_balls(n)):
+        x, y = _ball_center(ball.a, ball.b, n, scale, pad)
+        fill = BLUE if ball in pair.torsion else RED if ball in pair.free else "none"
+        body.append(
+            f'<circle cx="{x}" cy="{y}" r="{r}" fill="{fill}" '
+            'stroke="black" stroke-width="1"/>'
+        )
+        body.append(
+            f'<text x="{x}" y="{y + 4}" font-size="10" text-anchor="middle">'
+            f"{ball.a},{ball.b}</text>"
+        )
     width = 2 * n * scale + 2 * pad
     height = n * scale + 2 * pad
     return _svg(width, height, body)

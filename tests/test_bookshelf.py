@@ -7,6 +7,7 @@ from catbij import (
     InvariantError,
     LEAF,
     Node,
+    Shelf,
     TreeCoordinate,
     YoungDiagram,
     bookshelf,
@@ -25,6 +26,7 @@ from catbij import (
     to_paren,
     tree_to_dyck,
 )
+from catbij.bookshelf import tree_from_profile
 from catbij.verify import _gap_insertion
 
 # the worked five-leaf tree whose shelves run (1,0)->(1,3) and (2,1)->(2,2)
@@ -55,6 +57,8 @@ def test_shelves_worked_example():
 def test_shelf_single():
     sh = shelves(from_paren("((..).)"))
     assert len(sh) == 1 and sh[0].length == 1
+    with pytest.raises(InvariantError, match=r"^degenerate shelf "):
+        Shelf(TreeCoordinate(1, 2), TreeCoordinate(1, 2))
 
 
 def test_shelf_lengths_weakly_decrease_along_containment():
@@ -214,6 +218,9 @@ def test_inverse_bookshelf_matches_search_oracle():
 def test_inverse_bookshelf_ambient_errors():
     with pytest.raises(InvariantError):
         inverse_bookshelf(YoungDiagram((2, 1), 3), 2)  # ambient too small
+    with pytest.raises(InvariantError) as refusal:
+        tree_from_profile([5])  # a column taller than the ambient of one column
+    assert str(refusal.value) == "columns (5,) do not close a path in ambient 1"
 
 
 def test_ambient_changes_the_tree():

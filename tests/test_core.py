@@ -163,6 +163,23 @@ def test_paren_parser_accepts_ascii_and_whitespace():
         from_paren("(..)x")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(•••)", "unbalanced parenthesization"),
+        ("(••", "unbalanced parenthesization"),
+        ("((••)", "unexpected end of parenthesization"),
+        ("", "unexpected end of parenthesization"),
+        ("(•)", "unexpected character ')' in parenthesization"),
+        ("•(••)", "trailing characters after parenthesization"),
+    ],
+)
+def test_paren_parser_refusals_name_the_fault(text, message):
+    with pytest.raises(InvariantError) as refusal:
+        from_paren(text)
+    assert str(refusal.value) == message
+
+
 # -- coordinates --------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from catbij import (
     TorsionPair,
     TreeCoordinate,
     YoungDiagram,
+    all_balls,
 )
 
 BALL = Interval(1, 1)
@@ -115,7 +116,11 @@ def test_records_normalise_their_fields():
 
 
 def test_records_refuse_a_negative_ambient():
-    for make in (lambda n: YoungDiagram((), n), lambda n: TorsionPair(frozenset(), frozenset(), n)):
+    for make in (
+        lambda n: YoungDiagram((), n),
+        lambda n: TorsionPair(frozenset(), frozenset(), n),
+        lambda n: TorsionPair(all_balls(n), frozenset(), n),  # all_balls refuses first
+    ):
         with pytest.raises(catbij.InvariantError, match="^ambient must be >= 0$"):
             make(-5)
         assert make(0).n == 0

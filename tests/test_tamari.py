@@ -122,6 +122,11 @@ def test_bottom_and_top():
         assert p.bottom() == left_comb(n)
         assert p.top() == right_comb(n)
         assert len(p.nodes) == catalan(n)
+    antichain = TamariPoset(tuple(enumerate_trees(2)), frozenset())
+    with pytest.raises(InvariantError, match="^2 minimal elements; expected 1$"):
+        antichain.bottom()
+    with pytest.raises(InvariantError, match="^2 maximal elements; expected 1$"):
+        antichain.top()
 
 
 def test_is_lattice():
