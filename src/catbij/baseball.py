@@ -5,7 +5,8 @@ tree is Node(tree(x), tree(y)); x hangs off the left root axis, y at the far
 end of the ceiling.  Read backwards, tree_to_perm is
 perm(Node(X, Y)) = (perm(Y) + size(X) + 1) ++ (1,) ++ (perm(X) + 1).
 Unrolled, the node whose left subtree ends at leaf m has its preorder rank
-at position n - 1 - m; perm_to_tree reads the spans back through the path.
+at position n - 1 - m; perm_to_tree reads the leaf ends (dyck._ends) off p
+and builds the tree from them.
 
 The paper's construction, the wire diagram, is kept as trace_wires, and
 verify checks tree_to_perm against it.  A ball over a descending edge is a
@@ -23,7 +24,7 @@ from .core import (
     node_spans,
     size,
 )
-from .dyck import _from_ends, dyck_to_tree
+from .dyck import _tree_from_ends
 from .torsion import all_balls, tree_to_torsion
 
 
@@ -84,7 +85,7 @@ def trace_wires(t: BinaryTree) -> tuple:
 def perm_to_tree(p) -> BinaryTree:
     """Inverse of tree_to_perm.  Read backwards, entry k of p is the node
     whose left subtree ends at leaf k, and its span ends at leaf l, the index
-    of the next smaller entry (n if none); those ends give the Dyck path."""
+    of the next smaller entry (n if none); those ends build the tree."""
     p = tuple(p)
     if not is_213_avoiding(p):
         raise InvariantError(f"{p!r} contains a 213 pattern")
@@ -96,4 +97,4 @@ def perm_to_tree(p) -> BinaryTree:
             ends[k] += 1
         waiting.append(v)
     ends[-1] += len(waiting)
-    return dyck_to_tree(_from_ends(ends))
+    return _tree_from_ends(ends)

@@ -9,17 +9,13 @@ form a rectangle and each occupied column of the tilted frame is one run
 anchored at row 1.  Pushing every row of cells flush left kills the gaps and
 leaves an ordinary staircase partition.
 
-Production goes through the Dyck path instead of the shelves: bookshelf(t)
-is dyck_to_young(tree_to_dyck(t)), and every tree is rebuilt by
-dyck_to_tree.  Pushing the gaps out sorts the column heights, so the columns
-of bookshelf(t), longest first, are column_profile(t) sorted; a profile
-therefore rebuilds its tree through the path those columns bound.  The shelf
-construction (shelves, column_profile, bookshelf_gapped, push_gaps) stays
-public: verify checks push_gaps(bookshelf_gapped(t)) against bookshelf(t),
-and the torsion module's gapped frames against bookshelf_gapped.  The paper's
-gap-insertion inverse, a backtracking search over tight rows
-(rows[t-1] + t == n), is kept in verify as an oracle for inverse_bookshelf.
+bookshelf and inverse_bookshelf read that partition off the leaf ends and
+back (dyck._ends, dyck._tree_from_ends); column_profile reads the stacked
+heights off node_spans.
 """
+
+from itertools import accumulate
+from operator import sub
 
 from .core import (
     BinaryTree,
@@ -32,7 +28,7 @@ from .core import (
     node_spans,
     size,
 )
-from .dyck import _columns_to_dyck, dyck_to_tree, dyck_to_young, tree_to_dyck, young_to_dyck
+from .dyck import _columns_to_dyck, _ends, _tree_from_ends, dyck_to_tree
 
 
 class Shelf(_Record):
@@ -67,12 +63,15 @@ def shelves(t: BinaryTree) -> list:
 
 
 def column_profile(t: BinaryTree) -> list:
-    """Stacked cell height over each of the n tilted columns."""
+    """Stacked cell height over each of the n tilted columns: the row of the
+    lowest shelf over the column.  The shelf of a left child i..m lies on row
+    n - m over columns i..m-1; spans nest or are disjoint, and a nested one
+    comes later in preorder and lies lower, so the last write wins."""
     n = size(t)
     heights = [0] * n
-    for s in shelves(t):
-        for c in range(s.start.y, s.end.y):
-            heights[c] = max(heights[c], s.row)
+    for i, m, _ in node_spans(t):
+        if m > i:
+            heights[i:m] = [n - m] * (m - i)
     return heights
 
 
@@ -100,7 +99,12 @@ def push_gaps(g: GappedYoungDiagram) -> YoungDiagram:
 
 
 def bookshelf(t: BinaryTree) -> YoungDiagram:
-    return dyck_to_young(tree_to_dyck(t))
+    """Rows, longest first: the nonzero running sums of ends[1:n], reversed
+    (on the path, the R's before each U)."""
+    n = t.size
+    rows = [r for r in accumulate(_ends(node_spans(t), n)[1:n]) if r]
+    rows.reverse()
+    return YoungDiagram(rows, n)
 
 
 def min_tree_size(y: YoungDiagram) -> int:
@@ -119,13 +123,18 @@ def min_tree_size(y: YoungDiagram) -> int:
 
 
 def tree_from_profile(profile) -> BinaryTree:
-    """The tree whose bookshelf columns are the sorted profile."""
+    """The tree whose bookshelf columns are the sorted profile: pushing the
+    gaps out sorts the column heights, so the tree is rebuilt through the
+    path those columns bound."""
     return dyck_to_tree(_columns_to_dyck(sorted(profile, reverse=True), len(profile)))
 
 
 def inverse_bookshelf(y: YoungDiagram, n: int) -> BinaryTree:
-    """The unique size-n tree with bookshelf(t) == y, by the Dyck route.
+    """The unique size-n tree with bookshelf(t) == y: bookshelf's running
+    sums, padded to n + 1 with zeros in front and n behind, differenced.
 
     Rebuilding y in ambient n raises InvariantError when n is too small.
     """
-    return dyck_to_tree(young_to_dyck(YoungDiagram(y.rows, n)))
+    rows = YoungDiagram(y.rows, n).rows
+    sums = [0] * (n - len(rows)) + [*reversed(rows), n]
+    return _tree_from_ends(map(sub, sums, [0, *sums]))

@@ -598,7 +598,7 @@ class YoungDiagram(_Record):
             raise InvariantError("ambient must be >= 0")
         prev = None
         for i, r in enumerate(rows):
-            if not _is_int(r) or r <= 0:
+            if not (type(r) is int or _is_int(r)) or r <= 0:
                 raise InvariantError(f"row lengths must be positive integers, got {r!r}")
             if prev is not None and r > prev:
                 raise InvariantError(f"rows {rows} are not weakly decreasing")
@@ -648,7 +648,7 @@ class GappedYoungDiagram(_Record):
     def __init__(self, boxes: frozenset, n: int):
         cells = set()
         for r, c in boxes:
-            if not (_is_int(r) and _is_int(c)):
+            if not (type(r) is int and type(c) is int or _is_int(r) and _is_int(c)):
                 raise InvariantError(f"cell ({r!r}, {c!r}) is not an integer pair")
             if r < 1 or c < 0 or r + c > n - 1:
                 raise InvariantError(

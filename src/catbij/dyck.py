@@ -1,12 +1,13 @@
-"""The two classical bijections through Dyck paths.
+"""The two classical bijections through Dyck paths, and the one tree builder.
 
 tree <-> path: label internal nodes L and leaves D, read the stretched
 drawing right to left jumping to the top of each descending segment, and draw
 the path backwards from (n, n).  Algebraically that reading collapses to a
 postfix code: a leaf contributes U, an internal node contributes its children's
 codes followed by R, and the path is the code minus its leading U: leaf k
-is followed by one R per node whose span ends there.  dyck_to_tree is the
-one builder of trees from other objects (every inverse, every Tamari cover).
+is followed by ends[k] R's, one per node whose span ends there (_ends).
+_tree_from_ends runs that code as a stack machine; it builds every tree that
+comes from another family (paths, diagrams, permutations, Tamari covers).
 
 path <-> staircase partition: fill the part of the n x n square above the
 path; column x of the square gets n - h cells where h is the height of the
@@ -37,21 +38,26 @@ def _from_ends(ends) -> DyckPath:
     return DyckPath("".join(["U" + "R" * e for e in ends])[1:])
 
 
+def _tree_from_ends(ends) -> BinaryTree:
+    """The tree whose postfix code has ends[k] R's after the U of leaf k: a
+    stack machine in which each R joins the top two trees into a Node."""
+    stack = []
+    for e in ends:
+        right = LEAF  # leaf k, then the Node each of its R's closes
+        while e:
+            right = Node(stack.pop(), right)
+            e -= 1
+        stack.append(right)
+    assert len(stack) == 1
+    return stack[0]
+
+
 def tree_to_dyck(t: BinaryTree) -> DyckPath:
     return _from_ends(_ends(node_spans(t), t.size))
 
 
 def dyck_to_tree(p: DyckPath) -> BinaryTree:
-    stack = []
-    for c in "U" + p.steps:
-        if c == "U":
-            stack.append(LEAF)
-        else:
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(Node(left, right))
-    assert len(stack) == 1
-    return stack[0]
+    return _tree_from_ends(map(len, ("U" + p.steps).split("U")[1:]))
 
 
 def dyck_to_young(p: DyckPath) -> YoungDiagram:

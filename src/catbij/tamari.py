@@ -28,7 +28,7 @@ from .core import (
     node_spans,
     size,
 )
-from .dyck import _ends, _from_ends, dyck_to_tree
+from .dyck import _ends, _tree_from_ends
 from .torsion import _torsion_masks
 
 
@@ -41,7 +41,7 @@ def covers_of(t: BinaryTree) -> list:
         if m > i:
             ends[m] -= 1
             ends[j] += 1
-            ups.append(dyck_to_tree(_from_ends(ends)))
+            ups.append(_tree_from_ends(ends))
             ends[m] += 1
             ends[j] -= 1
     return ups

@@ -4,8 +4,8 @@ Each check runs over every object up to the requested size and reports its
 first three counterexamples, as serialized documents (_check).  Suites:
 
     roundtrips      every bijection composed with its inverse is the identity
-    commutativity   the shelf construction equals bookshelf (the Dyck
-                    route), gapped frames agree
+    commutativity   the shelf construction equals bookshelf, gapped
+                    frames agree
     torsion         Hom calibration, torsion pairs from trees, closure rules
     tamari          lattice structure, chain counts, order reversal
     all             everything above
@@ -270,11 +270,11 @@ SUITES = {
 }
 SUITES["all"] = tuple(group for groups in SUITES.values() for group in groups)
 
-# every group, the longest first: at n_max 7 they take about 50, 48, 46, 49,
-# 22, 13, 12 and 4 ms cold, 42, 33, 33, 20, 13, 12, 8 and 3 ms warm (best of
-# 8 fresh processes; _torsion and _commutativity are level cold)
+# every group, the longest first: at n_max 7 they take about 26, 34, 40, 24,
+# 18, 11, 9 and 4 ms cold, 26, 25, 18, 15, 10, 10, 6 and 3 ms warm (best of
+# 8 fresh processes)
 _LONGEST_FIRST = (
-    _shelves, _perms, _commutativity, _torsion, _tree_torsion, _paths, _tree_dyck,
+    _shelves, _perms, _torsion, _commutativity, _tree_torsion, _paths, _tree_dyck,
     _tamari_clamped,
 )
 

@@ -12,6 +12,7 @@ from catbij import (
     NotAPermutationError,
     catalan,
     classify_balls,
+    dyck_to_tree,
     enumerate_perms213,
     enumerate_trees,
     from_paren,
@@ -23,6 +24,7 @@ from catbij import (
     tree_to_perm,
     tree_to_torsion,
 )
+from catbij.dyck import _from_ends
 
 
 def test_single_ball_cases():
@@ -119,6 +121,20 @@ def test_round_trip_and_avoidance():
         assert len(outputs) == catalan(n)
         for p in enumerate_perms213(n):
             assert tree_to_perm(perm_to_tree(p)) == p
+
+
+def test_perm_to_tree_matches_the_path_route():
+    # perm_to_tree builds from its leaf ends; the path those ends spell is
+    # the route it replaced, on every 213-avoider of length <= 9.  Here the
+    # ends come from the definition: read backwards, entry k ends at the
+    # next smaller entry, or at leaf n if there is none
+    for n in range(0, 10):
+        for p in enumerate_perms213(n):
+            back = p[::-1]
+            ends = [0] * (n + 1)
+            for k, v in enumerate(back):
+                ends[next((l for l in range(k + 1, n) if back[l] < v), n)] += 1
+            assert perm_to_tree(p) == dyck_to_tree(_from_ends(ends))
 
 
 def min_split_oracle(t):

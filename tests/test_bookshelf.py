@@ -13,11 +13,13 @@ from catbij import (
     bookshelf,
     bookshelf_gapped,
     column_profile,
+    dyck_to_tree,
     dyck_to_young,
     enumerate_trees,
     enumerate_young,
     from_paren,
     inverse_bookshelf,
+    left_comb,
     min_tree_size,
     push_gaps,
     right_comb,
@@ -25,6 +27,7 @@ from catbij import (
     size,
     to_paren,
     tree_to_dyck,
+    young_to_dyck,
 )
 from catbij.bookshelf import tree_from_profile
 from catbij.verify import _gap_insertion
@@ -228,3 +231,33 @@ def test_ambient_changes_the_tree():
     y3 = inverse_bookshelf(YoungDiagram((1,), 3), 3)
     assert to_paren(y2) == "((••)•)"
     assert size(y3) == 3 and bookshelf(y3).rows == (1,)
+
+
+def test_leaf_end_routes_match_the_dyck_compositions():
+    # bookshelf and its inverse read rows off the leaf ends; the path route
+    # they replaced stays the oracle, on every object of size <= 9
+    for n in range(0, 10):
+        for t in enumerate_trees(n):
+            assert bookshelf(t) == dyck_to_young(tree_to_dyck(t))
+        for rows in enumerate_young(n):
+            y = YoungDiagram(rows, n)
+            assert inverse_bookshelf(y, n) == dyck_to_tree(young_to_dyck(y))
+
+
+def test_column_profile_is_the_shelf_stacking():
+    # the paper's shelves as the oracle: each column rises to its lowest shelf
+    for n in range(0, 10):
+        for t in enumerate_trees(n):
+            heights = [0] * n
+            for s in shelves(t):
+                for c in range(s.start.y, s.end.y):
+                    heights[c] = max(heights[c], s.row)
+            assert column_profile(t) == heights
+
+
+def test_bookshelf_has_no_depth_limit():
+    depth = 2_000
+    for t in (left_comb(depth), right_comb(depth)):
+        assert inverse_bookshelf(bookshelf(t), depth) == t
+    assert bookshelf(left_comb(depth)).rows == tuple(range(depth - 1, 0, -1))
+    assert bookshelf(right_comb(depth)).rows == ()

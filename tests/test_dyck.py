@@ -18,6 +18,8 @@ from catbij import (
     tree_to_dyck,
     young_to_dyck,
 )
+from catbij.core import node_spans
+from catbij.dyck import _ends, _tree_from_ends
 
 import pytest
 
@@ -134,3 +136,30 @@ def test_young_legs_match_the_quadratic_count():
             rows = y.rows
             want = tuple(sum(1 for r in rows if r > c) for c in range(rows[0] if rows else 0))
             assert y.conjugate() == want
+
+
+def test_leaf_ends_rebuild_every_tree():
+    for n in range(0, 10):
+        for t in enumerate_trees(n):
+            assert _tree_from_ends(_ends(node_spans(t), n)) == t
+
+
+def test_dyck_bijection_has_no_depth_limit():
+    depth = 2_000
+    for t in (left_comb(depth), right_comb(depth)):
+        assert dyck_to_tree(tree_to_dyck(t)) == t
+    assert tree_to_dyck(right_comb(depth)).steps == "U" * depth + "R" * depth
+
+
+def test_other_families_rebuild_trees_without_a_path(monkeypatch):
+    from catbij import bookshelf, covers_of, inverse_bookshelf, perm_to_tree, tree_to_perm
+
+    def refuse(self, steps):
+        raise AssertionError(f"a DyckPath {steps!r} was built")
+
+    monkeypatch.setattr(DyckPath, "__init__", refuse)
+    for n in range(0, 7):
+        for t in enumerate_trees(n):
+            assert inverse_bookshelf(bookshelf(t), n) == t
+            assert perm_to_tree(tree_to_perm(t)) == t
+            assert all(u.size == n for u in covers_of(t))
