@@ -11,11 +11,11 @@ leaves an ordinary staircase partition.
 
 bookshelf and inverse_bookshelf read that partition off the leaf ends and
 back (dyck._ends, dyck._tree_from_ends); column_profile reads the stacked
-heights off node_spans.
+heights off node_spans, and tree_from_profile turns them into leaf ends.
 """
 
 from itertools import accumulate
-from operator import sub
+from operator import le, sub
 
 from .core import (
     BinaryTree,
@@ -28,7 +28,7 @@ from .core import (
     node_spans,
     size,
 )
-from .dyck import _columns_to_dyck, _ends, _tree_from_ends, dyck_to_tree
+from .dyck import _columns_to_dyck, _ends, _tree_from_ends
 
 
 class Shelf(_Record):
@@ -123,10 +123,24 @@ def min_tree_size(y: YoungDiagram) -> int:
 
 
 def tree_from_profile(profile) -> BinaryTree:
-    """The tree whose bookshelf columns are the sorted profile: pushing the
-    gaps out sorts the column heights, so the tree is rebuilt through the
-    path those columns bound."""
-    return dyck_to_tree(_columns_to_dyck(sorted(profile, reverse=True), len(profile)))
+    """The tree whose bookshelf columns are the profile in any order: on the
+    path those columns bound, a column of height h is an R after n - h U's,
+    so it is one R after leaf n - h in the postfix code (dyck._ends).
+
+    A profile of no tree is refused with the message of the path its columns
+    would spell, longest first: it does not close, or it dips."""
+    n = len(profile)
+    ends = [0] * (n + 1)
+    for h in profile:
+        if not 0 <= h <= n:  # before n - h indexes ends from its far end
+            break
+        ends[n - h] += 1
+    else:
+        # no dip: at most k R's by leaf k, for each k < n
+        if all(map(le, accumulate(ends[:n]), range(n))):
+            return _tree_from_ends(ends)
+    _columns_to_dyck(sorted(profile, reverse=True), n)  # raises
+    raise AssertionError(f"profile {profile!r} spells a path but was refused")
 
 
 def inverse_bookshelf(y: YoungDiagram, n: int) -> BinaryTree:

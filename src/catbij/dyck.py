@@ -7,7 +7,8 @@ postfix code: a leaf contributes U, an internal node contributes its children's
 codes followed by R, and the path is the code minus its leading U: leaf k
 is followed by ends[k] R's, one per node whose span ends there (_ends).
 _tree_from_ends runs that code as a stack machine; it builds every tree that
-comes from another family (paths, diagrams, permutations, Tamari covers).
+comes from another family (paths, diagrams, column profiles, permutations,
+Tamari covers).
 
 path <-> staircase partition: fill the part of the n x n square above the
 path; column x of the square gets n - h cells where h is the height of the
@@ -57,7 +58,7 @@ def tree_to_dyck(t: BinaryTree) -> DyckPath:
 
 
 def dyck_to_tree(p: DyckPath) -> BinaryTree:
-    return _tree_from_ends(map(len, ("U" + p.steps).split("U")[1:]))
+    return _tree_from_ends(map(len, p.steps.split("U")))
 
 
 def dyck_to_young(p: DyckPath) -> YoungDiagram:

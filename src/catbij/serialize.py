@@ -196,7 +196,7 @@ def deserialize_torsion(text: str) -> TorsionPair:
         raise InvariantError(f"document is not a torsion pair (too few balls for ambient {n})")
     if not torsion._is_pair(tors, free, e):
         raise InvariantError("document is not a torsion pair (perpendicularity fails)")
-    return TorsionPair(torsion._to_set(tors, e.balls), torsion._to_set(free, e.balls), n)
+    return TorsionPair(torsion._class_set(tors, e), torsion._class_set(free, e), n)
 
 
 # -- permutations -----------------------------------------------------------

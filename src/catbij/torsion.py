@@ -77,9 +77,11 @@ class _Engine(_Record):
     quotient closure, the balls [a', b] with a <= a' <= b.  Their length,
     n(n - 1)/2, is the ambient check of _to_mask.  hom_from, hom_to and
     quot are byte tables for _union.  The memos are kept while kept is
-    true; otherwise they are None, and a throwaway {} stands in at each
-    call.  sets maps a mask to the frozenset of its balls, one per class.
-    pairs and closures are keyed by a seed's quotient closure (n! keys, 720
+    true, through ambient 8; otherwise they are None, and a throwaway {}
+    stands in at each call.  At ambient 8 the class sets and splits hold
+    4.7 MB, and every memo filled holds 14.4 MB (tracemalloc, Python 3.11).
+    sets maps a mask to the frozenset of its balls, one per class.  pairs
+    and closures are keyed by a seed's quotient closure (n! keys, 720
     at ambient 6): pairs holds its TorsionPair, made of the sets, and
     closures its closure under both of complete_torsion_hu's rules.  splits
     maps a class mask to its RectangleSplit, one per class (catalan(n)
@@ -99,33 +101,39 @@ def _engine(n: int) -> _Engine:
     m = len(balls)
     row = [(a - 1) * n - a * (a + 1) // 2 for a in range(n + 1)]  # column a holds n - a
     ending = [sum(1 << (row[a] + b) for a in range(1, b + 1)) for b in range(n)]
-    hom_from = [0] * m
-    hom_to = [0] * m
-    for i, x in enumerate(balls):
-        for j, y in enumerate(balls):
-            if x.a <= y.a <= x.b <= y.b:
-                hom_from[i] |= 1 << j
-                hom_to[j] |= 1 << i
-    # quotient closure: everything reachable by repeated lower-right steps;
+    # lead[a] has bit row[c] + 1 for each ball column c <= a, so each table
+    # entry is a run of bits in each of a range of columns: shifted by b - 1,
+    # lead[b] - lead[a - 1] is the balls [c, b] for a <= c <= b, and times a
+    # run of k ones it is [c, b] .. [c, b + k - 1], each run in its column
+    lead = [0]
+    for c in range(1, n):
+        lead.append(lead[-1] | 1 << (row[c] + 1))
+    hom_from, hom_to, quot, ext = [], [], [], []
+    for a in range(1, n):  # the balls [a, b] in sorted order
+        for b in range(a, n):
+            # quotient closure: everything reachable by repeated lower-right
+            # steps, [c, b] with a <= c <= b
+            closure = (lead[b] - lead[a - 1]) << (b - 1)
+            quot.append(closure)
+            # nonzero Hom from [a, b] to [c, d], a <= c <= b <= d, and to
+            # [a, b] from [c, d], c <= a <= d <= b
+            hom_from.append(closure * ((1 << (n - b)) - 1))
+            hom_to.append((lead[a] << (a - 1)) * ((1 << (b - a + 1)) - 1))
+            # extension table: (pair, top, bottom) for each [c, d] with
+            # a < c <= b + 1 and b < d, bottom == -1 for the virtual ball
+            # one line below the bottom row
+            for c in range(a + 1, min(b + 2, n)):
+                bottom = row[c] + b if c <= b else -1
+                for d in range(b + 1, n):
+                    ext.append((1 << (row[a] + b) | 1 << (row[c] + d), 1 << (row[a] + d), bottom))
     # ball_bit and ball_quot hold each ball's bit and closure at its _i
-    quot, ball_bit, ball_quot = [0] * m, [0] * m, [0] * m
+    ball_bit, ball_quot = [0] * m, [0] * m
     for i, x in enumerate(balls):
-        for a in range(x.a, x.b + 1):
-            quot[i] |= 1 << (row[a] + x.b)
         ball_bit[x._i], ball_quot[x._i] = 1 << i, quot[i]
-    # extension table: (i, j, top, bottom) with bottom == -1 for the virtual
-    # ball one line below the bottom row
-    ext = []
-    for i, x in enumerate(balls):
-        for j, y in enumerate(balls):
-            if x.a < y.a and x.b < y.b and y.a <= x.b + 1:
-                top = row[x.a] + y.b
-                bottom = row[y.a] + x.b if y.a <= x.b else -1
-                ext.append((1 << i | 1 << j, 1 << top, bottom))
     # the memos (module docstring): at most 2 catalan(n) class sets of up to
     # n(n - 1)/2 balls, and catalan(n) splits of no more balls, kept while
-    # that many ball references fit _KEEP
-    kept = catalan(n) * n * (n - 1) <= _KEEP
+    # that many ball references fit 4 _KEEP: 80,080 at ambient 8, 350,064 at 9
+    kept = catalan(n) * n * (n - 1) <= _KEEP << 2
     return _Engine(
         balls, row, ending, (1 << m) - 1, ball_bit, ball_quot,
         _byte_tables(hom_from), _byte_tables(hom_to), _byte_tables(quot), tuple(ext),
@@ -302,7 +310,7 @@ def torsion_to_tree(objs, n: int) -> BinaryTree:
     """The unique size-n tree whose descending edges carry exactly objs.
 
     The class's column heights are the tree's column_profile, and the tree
-    is rebuilt from them through the Dyck path.
+    is rebuilt from them through its leaf ends (tree_from_profile).
     """
     return tree_from_profile(_heights(_class_mask(objs, n, _engine(n)), n))
 

@@ -365,8 +365,8 @@ def _run(groups, n_max):
 
 def run_suite(suite: str, n_max: int) -> dict:
     """The report of suite up to n_max, the documented 2..9: below 2 some
-    check sees no object; verify all took 1.79 s at 9 and 6.35-7.04 s at 10
-    on 2 CPUs, 12.7 s serially (ROADMAP item 7).  Its check groups run on
+    check sees no object; verify all took 1.2-1.5 s at 9 and 5.8 s at 10
+    on 2 CPUs, 9.0 s serially (ROADMAP item 7).  Its check groups run on
     the CPUs this process may use (_run)."""
     if suite not in SUITES:
         raise InvariantError(f"unknown suite {suite!r}")

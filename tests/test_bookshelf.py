@@ -1,5 +1,7 @@
 """Shelves, the bookshelf map, its inverse, and the commuting square."""
 
+import itertools
+
 import pytest
 
 from catbij import (
@@ -242,6 +244,44 @@ def test_leaf_end_routes_match_the_dyck_compositions():
         for rows in enumerate_young(n):
             y = YoungDiagram(rows, n)
             assert inverse_bookshelf(y, n) == dyck_to_tree(young_to_dyck(y))
+
+
+def _path_route(profile):
+    """The oracle: the tree of the Dyck path under the sorted columns."""
+    from catbij.dyck import _columns_to_dyck
+
+    return dyck_to_tree(_columns_to_dyck(sorted(profile, reverse=True), len(profile)))
+
+
+def test_tree_from_profile_rebuilds_every_tree_from_any_column_order():
+    import random
+
+    rng = random.Random(32)
+    for n in range(0, 9):
+        for t in enumerate_trees(n):
+            profile = column_profile(t)
+            assert tree_from_profile(profile) == t
+            rng.shuffle(profile)
+            assert tree_from_profile(profile) == t
+
+
+def test_tree_from_profile_accepts_and_refuses_as_the_path_route_did():
+    # every profile of n <= 4 columns with heights -1..n + 1: the same tree,
+    # or a refusal with the same message; the accepted ones are the parking
+    # functions (sorted ascending, entry k is at most k), (n + 1)^(n - 1)
+    def outcome(route, profile):
+        try:
+            return route(list(profile))
+        except InvariantError as refusal:
+            return str(refusal)
+
+    for n in range(0, 5):
+        accepted = 0
+        for profile in itertools.product(range(-1, n + 2), repeat=n):
+            got = outcome(tree_from_profile, profile)
+            assert got == outcome(_path_route, profile), profile
+            accepted += not isinstance(got, str)
+        assert accepted == (n + 1) ** (n - 1)
 
 
 def test_column_profile_is_the_shelf_stacking():

@@ -152,7 +152,17 @@ def test_dyck_bijection_has_no_depth_limit():
 
 
 def test_other_families_rebuild_trees_without_a_path(monkeypatch):
-    from catbij import bookshelf, covers_of, inverse_bookshelf, perm_to_tree, tree_to_perm
+    from catbij import (
+        bookshelf,
+        covers_of,
+        decompose_rectangle,
+        inverse_bookshelf,
+        perm_to_tree,
+        recompose_rectangle,
+        torsion_to_tree,
+        tree_to_perm,
+        tree_to_torsion,
+    )
 
     def refuse(self, steps):
         raise AssertionError(f"a DyckPath {steps!r} was built")
@@ -163,3 +173,6 @@ def test_other_families_rebuild_trees_without_a_path(monkeypatch):
             assert inverse_bookshelf(bookshelf(t), n) == t
             assert perm_to_tree(tree_to_perm(t)) == t
             assert all(u.size == n for u in covers_of(t))
+            g = tree_to_torsion(t).torsion
+            assert torsion_to_tree(g, n) == t
+            assert recompose_rectangle(decompose_rectangle(g, n), n) == g

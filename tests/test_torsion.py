@@ -6,6 +6,7 @@ examples, and a rectangle decomposition example.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -37,6 +38,7 @@ from catbij import (
     tree_to_torsion,
     bookshelf_gapped,
 )
+from catbij.core import node_spans
 from catbij.serialize import serialize_torsion
 from catbij.torsion import _engine, _to_mask, _union
 
@@ -257,15 +259,17 @@ def test_class_table_names_each_class_once():
     assert len(sets) == len(tors | free) <= 2 * catalan(n)
 
 
-def test_class_table_gives_one_set_per_class_and_is_not_kept_above_7():
+def test_class_table_gives_one_set_per_class_and_is_not_kept_above_8():
     seed, closed = iset((1, 2), (1, 3)), iset((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
     assert complete_torsion_hu(seed, 4) is complete_torsion_hu(closed, 4)
     assert torsion_generate(seed, 4) is torsion_generate(closed, 4)
     assert perp_left(perp_right(seed, 4), 4) is complete_torsion_hu(seed, 4)
-    # at ambient 8 the table would outgrow core._KEEP: fresh objects each call
-    a, b = torsion_generate(iset((1, 2)), 8), torsion_generate(iset((1, 2)), 8)
+    assert torsion_generate(iset((1, 2)), 8) is torsion_generate(iset((1, 2)), 8)
+    assert complete_torsion_hu(iset((1, 2)), 8) is complete_torsion_hu(iset((1, 2)), 8)
+    # at ambient 9 the table would outgrow 4 core._KEEP: fresh objects each call
+    a, b = torsion_generate(iset((1, 2)), 9), torsion_generate(iset((1, 2)), 9)
     assert a == b and a is not b and a.torsion is not b.torsion
-    assert complete_torsion_hu(iset((1, 2)), 8) is not complete_torsion_hu(iset((1, 2)), 8)
+    assert complete_torsion_hu(iset((1, 2)), 9) is not complete_torsion_hu(iset((1, 2)), 9)
 
 
 def _closed_under_both_rules(objs):
@@ -301,10 +305,10 @@ def test_closure_memo_holds_each_quotient_closed_mask_once():
         assert all(x.a == x.b or I(x.a + 1, x.b) in seed for x in seed)
         assert seed <= got and _closed_under_both_rules(got)
         assert got == torsion_generate(seed, n).torsion
-    assert _engine(7).closures is not None
-    assert _engine(8).closures is None
+    assert _engine(8).closures is not None
+    assert _engine(9).closures is None
     seed = iset((1, 2), (3, 4))
-    assert complete_torsion_hu(seed, 8) == torsion_generate(seed, 8).torsion
+    assert complete_torsion_hu(seed, 9) == torsion_generate(seed, 9).torsion
 
 
 def test_union_reads_the_byte_tables_as_a_bit_at_a_time_or():
@@ -337,6 +341,19 @@ def test_union_reads_the_byte_tables_as_a_bit_at_a_time_or():
             for mask in masks:
                 assert _union(mask, tables) == bit_at_a_time(mask, values)
 
+    # the extension table against its definition over all pairs of balls
+    for n in range(10):
+        balls = sorted(all_balls(n))
+        bit = {x: 1 << i for i, x in enumerate(balls)}
+        at = {x: i for i, x in enumerate(balls)}
+        ext = [
+            (bit[x] | bit[y], bit[I(x.a, y.b)], at[I(y.a, x.b)] if y.a <= x.b else -1)
+            for x in balls
+            for y in balls
+            if x.a < y.a and x.b < y.b and y.a <= x.b + 1
+        ]
+        assert _engine(n).ext == tuple(ext)
+
 
 def test_tree_to_torsion_shares_the_class_sets_and_deserialization_adds_nothing():
     from catbij.serialize import deserialize_torsion, serialize_torsion
@@ -346,14 +363,15 @@ def test_tree_to_torsion_shares_the_class_sets_and_deserialization_adds_nothing(
     def sizes(e):
         return len(e.sets), len(e.pairs), len(e.closures), len(e.splits)
 
-    for n in range(8):
+    for n in range(9):
         e = _engine(n)
         pairs = [tree_to_torsion(t) for t in enumerate_trees(n)]
         # the class sets only, one per torsion or torsion-free class
         classes = {p.torsion for p in pairs} | {p.free for p in pairs}
         assert sizes(e) == (len(classes), 0, 0, 0) and len(classes) <= 2 * catalan(n)
         for pair in pairs:
-            assert deserialize_torsion(serialize_torsion(pair)) == pair
+            read = deserialize_torsion(serialize_torsion(pair))
+            assert read == pair and read.torsion is pair.torsion and read.free is pair.free
         enumerate_torsion(n)
         assert sizes(e) == (len(classes), 0, 0, 0)
         for t, pair in zip(enumerate_trees(n), pairs):
@@ -363,24 +381,44 @@ def test_tree_to_torsion_shares_the_class_sets_and_deserialization_adds_nothing(
         assert len(e.sets) == len(classes)  # generation met the same class sets
 
 
-def test_rectangle_split_is_made_once_per_class_up_to_ambient_7():
+def test_rectangle_split_is_made_once_per_class_up_to_ambient_8():
     _engine.cache_clear()
-    for n in range(8):
+    for n in range(9):
         for t in enumerate_trees(n):
             g = tree_to_torsion(t).torsion
             split = decompose_rectangle(g, n)
             assert decompose_rectangle(g, n) is split
             assert recompose_rectangle(split, n) is g
         assert len(_engine(n).splits) == catalan(n)
-    # at ambient 8 the memos would outgrow core._KEEP: fresh objects each call
-    assert _engine(8).splits is None
-    t = from_paren("((•(••))((••)(•(•(••)))))")
-    assert t.size == 8
+    # at ambient 9 the memos would outgrow 4 core._KEEP: fresh objects each call
+    assert _engine(9).splits is None
+    t = from_paren("((•(••))((••)(•(•((••)•)))))")
+    assert t.size == 9
     g = tree_to_torsion(t).torsion
-    a, b = decompose_rectangle(g, 8), decompose_rectangle(g, 8)
+    a, b = decompose_rectangle(g, 9), decompose_rectangle(g, 9)
     assert a == b and a is not b
-    assert recompose_rectangle(a, 8) == g
-    assert tree_to_torsion(left_comb(8)).torsion is not tree_to_torsion(left_comb(8)).torsion
+    assert recompose_rectangle(a, 9) == g
+    assert tree_to_torsion(left_comb(9)).torsion is not tree_to_torsion(left_comb(9)).torsion
+
+
+def test_ambient_8_class_memos_fill_under_7_mb():
+    # every ambient-8 class set and split, one per class: 4.68 MB measured
+    # (Python 3.11), the trees' own node_spans walked before measuring
+    trees = enumerate_trees(8)
+    for t in trees:
+        node_spans(t)
+    _engine.cache_clear()
+    e = _engine(8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in trees:
+            decompose_rectangle(tree_to_torsion(t).torsion, 8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(e.splits) == catalan(8) and len(e.sets) <= 2 * catalan(8)
+    assert held < 7_000_000
 
 
 def test_tree_to_torsion_extremes():
