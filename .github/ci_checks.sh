@@ -36,6 +36,15 @@ catbij enumerate torsion --n 12 | sha256sum | grep -q '^3b7031ab408722aa'
 catbij enumerate torsion --n 12 2> err.txt | head -n 1 > /dev/null
 test ! -s err.txt
 
+# a torsion document converted to torsion comes back unchanged: the first,
+# middle and last of the 1,430 of ambient 8
+catbij enumerate torsion --n 8 > torsion8.txt
+test "$(wc -l < torsion8.txt)" -eq 1430
+for k in 1 715 1430; do
+    doc=$(sed -n "${k}p" torsion8.txt)
+    test "$(catbij convert torsion torsion --input "$doc")" = "$doc"
+done
+
 # the verify report does not depend on the CPUs that run it: b8a46413... is
 # its pinned digest (bench/workloads.py DIGESTS); under taskset -c 0
 # run_suite sees one CPU and forks no child

@@ -128,12 +128,11 @@ class Node(_Record):
         return self.size == other.size and node_spans(self) == node_spans(other)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
+        h = getattr(self, "_hash", None)
+        if h is None:
             h = hash(node_spans(self))
             _set_hash(self, h)
-            return h
+        return h
 
 
 _set_left = Node.left.__set__
@@ -226,11 +225,11 @@ def node_spans(t: BinaryTree) -> tuple:
     The tuple is kept on t, its root, so each tree is walked once.  Two
     threads that walk it at once each set an equal tuple, and either stays.
     """
-    try:
-        return t._spans
-    except AttributeError:  # a Node not yet walked, or the Leaf
-        if not t.size:
-            return ()
+    spans = getattr(t, "_spans", None)
+    if spans is not None:
+        return spans
+    if not t.size:  # the Leaf, which has no _spans
+        return ()
     out = []
     todo = [(t, 0)]  # a subtree and its first leaf
     while todo:

@@ -15,7 +15,10 @@ both torsion directions here refuse an ambient outside 0..MAX_N before its
 ball or text tables are built.  A torsion document is read straight into the
 two ball masks of torsion._engine(n), each ball checked as it is read, and
 serialize_torsion writes from those masks; both refuse a non-pair by
-torsion._is_pair.  Ambient 0 has the one pair with no balls.
+torsion._is_pair.  Through ambient 8 that test runs once per known pair:
+the reader hands out the engine's interned pair (torsion._intern) and tests
+only masks it does not know as a pair, and the writer skips it for the
+interned pair itself.  Ambient 0 has the one pair with no balls.
 
 Writing skips json.dumps: quoted and int_array write what it writes, and
 torsion text has one writer, _torsion_writer(n).  enumeration_runs streams a
@@ -148,11 +151,10 @@ def deserialize_young(text: str) -> YoungDiagram:
 
 def serialize_torsion(tp: TorsionPair) -> str:
     n = check_n(tp.n, "torsion")  # before the tables of n are built
-    e = torsion._engine(n)
-    tors, free = (torsion._to_mask(c, n, e.ball_bit) for c in (tp.torsion, tp.free))
-    if not torsion._is_pair(tors, free, e):
+    masks = torsion._pair_masks(tp, n, torsion._engine(n))
+    if masks is None:
         raise InvariantError("not a torsion pair (perpendicularity fails)")
-    return _torsion_writer(n, True)(tors, free)
+    return _torsion_writer(n, True)(*masks)
 
 
 def deserialize_torsion(text: str) -> TorsionPair:
@@ -194,9 +196,10 @@ def deserialize_torsion(text: str) -> TorsionPair:
     # each non-root node of a pair's tree puts at least one ball in a class
     if tors.bit_count() + free.bit_count() < n - 1:
         raise InvariantError(f"document is not a torsion pair (too few balls for ambient {n})")
-    if not torsion._is_pair(tors, free, e):
+    pair = torsion._intern(tors, free, e, n)
+    if pair is None:
         raise InvariantError("document is not a torsion pair (perpendicularity fails)")
-    return TorsionPair(torsion._class_set(tors, e), torsion._class_set(free, e), n)
+    return pair
 
 
 # -- permutations -----------------------------------------------------------

@@ -78,18 +78,22 @@ class _Engine(_Record):
     n(n - 1)/2, is the ambient check of _to_mask.  hom_from, hom_to and
     quot are byte tables for _union.  The memos are kept while kept is
     true, through ambient 8; otherwise they are None, and a throwaway {}
-    stands in at each call.  At ambient 8 the class sets and splits hold
-    4.7 MB, and every memo filled holds 14.4 MB (tracemalloc, Python 3.11).
-    sets maps a mask to the frozenset of its balls, one per class.  pairs
-    and closures are keyed by a seed's quotient closure (n! keys, 720
-    at ambient 6): pairs holds its TorsionPair, made of the sets, and
-    closures its closure under both of complete_torsion_hu's rules.  splits
-    maps a class mask to its RectangleSplit, one per class (catalan(n)
-    keys, 132 at ambient 6)."""
+    stands in at each call.  At ambient 8 the class sets, pairs and splits
+    hold 4.9 MB, and every memo filled holds 11.4 MB (tracemalloc, Python
+    3.11).  sets maps a mask to the frozenset of its balls, one per class.
+    classes maps a torsion class mask to (its TorsionPair, made of the sets,
+    the free class mask): one pair per class, checked by _is_pair once, as
+    _intern makes it, and handed out by every route that makes pairs.
+    pairs and closures are keyed by a seed's quotient closure (n! keys, 720
+    at ambient 6): pairs holds its pair from classes, and closures its
+    closure under both of complete_torsion_hu's rules.  classes and splits,
+    which maps a class mask to its RectangleSplit, have catalan(n) keys,
+    132 at ambient 6."""
 
     __slots__ = __match_args__ = (
         "balls", "row", "ending", "full", "ball_bit", "ball_quot",
-        "hom_from", "hom_to", "quot", "ext", "kept", "sets", "pairs", "closures", "splits",
+        "hom_from", "hom_to", "quot", "ext", "kept", "sets", "classes", "pairs", "closures",
+        "splits",
     )
 
     __init__ = _Record._fields
@@ -137,7 +141,7 @@ def _engine(n: int) -> _Engine:
     return _Engine(
         balls, row, ending, (1 << m) - 1, ball_bit, ball_quot,
         _byte_tables(hom_from), _byte_tables(hom_to), _byte_tables(quot), tuple(ext),
-        kept, *(({}, {}, {}, {}) if kept else (None,) * 4),
+        kept, *(({}, {}, {}, {}, {}) if kept else (None,) * 5),
     )
 
 
@@ -204,6 +208,40 @@ def _is_pair(tors, free, e) -> bool:
     return _generate_mask(tors, e) == (tors, free)
 
 
+def _intern(tors, free, e, n):
+    """The TorsionPair of the masks tors and free, or None if _is_pair
+    refuses them.  While e.classes is kept, a class's pair is checked and
+    made once, and a known (tors, free) is not checked again."""
+    classes = e.classes if e.kept else {}
+    got = classes.get(tors)
+    if got is not None and got[1] == free:
+        return got[0]
+    if not _is_pair(tors, free, e):
+        return None
+    pair = TorsionPair(_class_set(tors, e), _class_set(free, e), n)
+    return classes.setdefault(tors, (pair, free))[0]
+
+
+def _pair_masks(tp, n, e):
+    """The (tors, free) masks of the ambient-n pair tp, or None if _is_pair
+    refuses them; the interned pair of its class is not checked again."""
+    tors = _to_mask(tp.torsion, n, e.ball_bit)
+    got = e.classes.get(tors) if e.kept else None
+    if got is not None and got[0] is tp:
+        return tors, got[1]
+    free = _to_mask(tp.free, n, e.ball_bit)
+    return (tors, free) if _is_pair(tors, free, e) else None
+
+
+def _made_pair(tors, free, e, n):
+    """The TorsionPair of masks that are a pair by construction, a tree's or
+    generation's: the interned one while e.classes is kept, else a fresh
+    one, built with no _is_pair test."""
+    if e.kept:
+        return _intern(tors, free, e, n)
+    return TorsionPair(_class_set(tors, e), _class_set(free, e), n)
+
+
 def torsion_generate(seed, n: int) -> TorsionPair:
     """Smallest torsion pair whose torsion class contains the seed."""
     e = _engine(n)
@@ -214,8 +252,7 @@ def torsion_generate(seed, n: int) -> TorsionPair:
     pairs = e.pairs if e.kept else {}
     got = pairs.get(closed)
     if got is None:
-        tors, free = _generate_mask(closed, e)
-        got = pairs.setdefault(closed, TorsionPair(_class_set(tors, e), _class_set(free, e), n))
+        got = pairs.setdefault(closed, _made_pair(*_generate_mask(closed, e), e, n))
     return got
 
 
@@ -281,8 +318,7 @@ def _tree_masks(t: BinaryTree, e: _Engine):
 def tree_to_torsion(t: BinaryTree) -> TorsionPair:
     n = size(t)
     e = _engine(n)
-    tors, free = _tree_masks(t, e)
-    return TorsionPair(_class_set(tors, e), _class_set(free, e), n)
+    return _made_pair(*_tree_masks(t, e), e, n)
 
 
 def _heights(mask, n: int) -> list:
@@ -299,9 +335,10 @@ def _heights(mask, n: int) -> list:
 
 
 def _class_mask(objs, n: int, e: _Engine):
-    """The mask of a torsion class; InvariantError for any other set."""
+    """The mask of a torsion class; InvariantError for any other set.  A
+    key of e.classes is a checked class."""
     mask = _to_mask(objs, n, e.ball_bit)
-    if _generate_mask(mask, e)[0] != mask:
+    if not (e.kept and mask in e.classes) and _generate_mask(mask, e)[0] != mask:
         raise InvariantError("input set is not a torsion class")
     return mask
 

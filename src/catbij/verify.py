@@ -270,9 +270,10 @@ SUITES = {
 }
 SUITES["all"] = tuple(group for groups in SUITES.values() for group in groups)
 
-# every group, the longest first: at n_max 7 they take about 26, 34, 40, 24,
-# 18, 11, 9 and 4 ms cold, 26, 25, 18, 15, 10, 10, 6 and 3 ms warm (best of
-# 8 fresh processes)
+# every group, about the longest first: at n_max 7 they take about 27, 32,
+# 38, 25, 16, 10, 8 and 3 ms cold, 24, 21, 14, 14, 8, 10, 6 and 3 ms warm
+# (best of 10 fresh processes, Python 3.11); _paths, 10 ms either way, stays
+# behind _tree_torsion, which is longer cold
 _LONGEST_FIRST = (
     _shelves, _perms, _torsion, _commutativity, _tree_torsion, _paths, _tree_dyck,
     _tamari_clamped,
@@ -365,8 +366,8 @@ def _run(groups, n_max):
 
 def run_suite(suite: str, n_max: int) -> dict:
     """The report of suite up to n_max, the documented 2..9: below 2 some
-    check sees no object; verify all took 1.2-1.5 s at 9 and 5.8 s at 10
-    on 2 CPUs, 9.0 s serially (ROADMAP item 7).  Its check groups run on
+    check sees no object; verify all took 1.6-1.8 s at 9 and 4.8-5.5 s at
+    10 on 2 CPUs, 9.1 s serially (ROADMAP item 7).  Its check groups run on
     the CPUs this process may use (_run)."""
     if suite not in SUITES:
         raise InvariantError(f"unknown suite {suite!r}")

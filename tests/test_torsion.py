@@ -6,6 +6,7 @@ examples, and a rectangle decomposition example.
 """
 
 import itertools
+import json
 import tracemalloc
 
 import pytest
@@ -39,7 +40,7 @@ from catbij import (
     bookshelf_gapped,
 )
 from catbij.core import node_spans
-from catbij.serialize import serialize_torsion
+from catbij.serialize import deserialize_torsion, enumeration_lines, serialize_torsion
 from catbij.torsion import _engine, _to_mask, _union
 
 
@@ -252,6 +253,7 @@ def test_class_table_names_each_class_once():
             left = perp_left(seed, n)
             assert torsion_generate(left, n).torsion is left
     assert len(pairs) == 720 and len(set(pairs.values())) == catalan(n)
+    assert len({id(p) for p in pairs.values()}) == catalan(n)  # one object per pair
     tors = {p.torsion for p in pairs.values()}
     free = {p.free for p in pairs.values()}
     assert len(tors) == len(free) == catalan(n)
@@ -356,29 +358,112 @@ def test_union_reads_the_byte_tables_as_a_bit_at_a_time_or():
 
 
 def test_tree_to_torsion_shares_the_class_sets_and_deserialization_adds_nothing():
-    from catbij.serialize import deserialize_torsion, serialize_torsion
-
     _engine.cache_clear()  # start from empty memos
 
     def sizes(e):
-        return len(e.sets), len(e.pairs), len(e.closures), len(e.splits)
+        return len(e.sets), len(e.classes), len(e.pairs), len(e.closures), len(e.splits)
 
     for n in range(9):
         e = _engine(n)
         pairs = [tree_to_torsion(t) for t in enumerate_trees(n)]
-        # the class sets only, one per torsion or torsion-free class
+        # the class sets and one interned pair per class only
         classes = {p.torsion for p in pairs} | {p.free for p in pairs}
-        assert sizes(e) == (len(classes), 0, 0, 0) and len(classes) <= 2 * catalan(n)
+        assert sizes(e) == (len(classes), catalan(n), 0, 0, 0)
+        assert len(classes) <= 2 * catalan(n)
         for pair in pairs:
             read = deserialize_torsion(serialize_torsion(pair))
             assert read == pair and read.torsion is pair.torsion and read.free is pair.free
         enumerate_torsion(n)
-        assert sizes(e) == (len(classes), 0, 0, 0)
+        assert sizes(e) == (len(classes), catalan(n), 0, 0, 0)
         for t, pair in zip(enumerate_trees(n), pairs):
             g = torsion_generate(pair.torsion, n)
             assert tree_to_torsion(t).torsion is pair.torsion is g.torsion
             assert pair.free is g.free
         assert len(e.sets) == len(classes)  # generation met the same class sets
+
+
+def test_every_route_gives_the_one_interned_pair_up_to_ambient_8():
+    # whichever of tree_to_torsion, the torsion reader and generation makes
+    # a class's pair first, every route then hands out that object
+    _engine.cache_clear()
+    for n in range(9):
+        trees, docs = enumerate_trees(n), list(enumeration_lines("torsion", n))
+        fresh = enumerate_torsion(n)  # equal pairs, built apart from the memo
+        first = (
+            lambda: [tree_to_torsion(t) for t in trees],
+            lambda: list(map(deserialize_torsion, docs)),
+            lambda: [torsion_generate(p.torsion, n) for p in fresh],
+        )[n % 3]()
+        for t, doc, pair, made in zip(trees, docs, fresh, first, strict=True):
+            assert made == pair and made is not pair
+            assert tree_to_torsion(t) is made
+            assert deserialize_torsion(doc) is made
+            assert deserialize_torsion(serialize_torsion(made)) is made
+            assert torsion_generate(made.torsion, n) is made
+            assert torsion_generate(pair.torsion, n) is made
+        assert len(_engine(n).classes) == catalan(n)
+    # at ambient 9 nothing is kept: equal pairs, a fresh object from each call
+    assert _engine(9).classes is None
+    pair = tree_to_torsion(from_paren("((•(••))((••)(•(•((••)•)))))"))
+    again = (
+        tree_to_torsion(from_paren("((•(••))((••)(•(•((••)•)))))")),
+        deserialize_torsion(serialize_torsion(pair)),
+        torsion_generate(pair.torsion, 9),
+    )
+    for other in again:
+        assert other == pair and other is not pair
+
+
+def test_a_known_class_never_skips_a_refusal():
+    # every refusal built on a class of ambient 5, met first with empty
+    # memos, so every check runs, and again with each class's pair
+    # interned: the same message, word for word
+    n = 5
+    balls = sorted(all_balls(n))
+
+    def forged(torsion, free):
+        """A pair built past the constructor's checks."""
+        pair = object.__new__(TorsionPair)
+        for name, value in zip(TorsionPair.__match_args__, (torsion, free, n)):
+            object.__setattr__(pair, name, value)
+        return pair
+
+    def message(call, *args):
+        with pytest.raises(InvariantError) as info:
+            call(*args)
+        return str(info.value)
+
+    def spelled(balls):
+        return sorted([x.a, x.b] for x in balls)
+
+    def refusals(pairs):
+        out = []
+        for pair in pairs:
+            tors, free = pair.torsion, pair.free
+            # one ball more (of the torsion class, or of neither), one fewer, none
+            more = [free | {x} for x in balls if x not in free]
+            for wrong in more + [free - {x} for x in free] + [frozenset()] * bool(free):
+                out.append(message(serialize_torsion, forged(tors, wrong)))
+                doc = {"n": n, "torsion": spelled(tors), "free": spelled(wrong)}
+                out.append(message(deserialize_torsion, json.dumps(doc)))
+            if not is_torsion_class(free, n):
+                for call in torsion_to_tree, torsion_to_gapped_young, decompose_rectangle:
+                    out.append(message(call, free, n))
+        return out
+
+    _engine.cache_clear()
+    cold = refusals(enumerate_torsion(n))
+    assert not _engine(n).classes  # a refused pair is not interned
+    warm = refusals([tree_to_torsion(t) for t in enumerate_trees(n)])
+    assert len(_engine(n).classes) == catalan(n)
+    assert warm == cold
+    assert set(cold) == {
+        "not a torsion pair (perpendicularity fails)",
+        "torsion and torsion-free classes intersect",
+        f"document is not a torsion pair (too few balls for ambient {n})",
+        "document is not a torsion pair (perpendicularity fails)",
+        "input set is not a torsion class",
+    }
 
 
 def test_rectangle_split_is_made_once_per_class_up_to_ambient_8():
@@ -402,8 +487,9 @@ def test_rectangle_split_is_made_once_per_class_up_to_ambient_8():
 
 
 def test_ambient_8_class_memos_fill_under_7_mb():
-    # every ambient-8 class set and split, one per class: 4.68 MB measured
-    # (Python 3.11), the trees' own node_spans walked before measuring
+    # every ambient-8 class set, interned pair and split, one per class:
+    # 4.93 MB measured (Python 3.11), the trees' own node_spans walked before
+    # measuring
     trees = enumerate_trees(8)
     for t in trees:
         node_spans(t)
